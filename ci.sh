@@ -54,6 +54,19 @@ diff -u "$SMOKE/ctl-stats-a.json" "$SMOKE/ctl-stats-plain.json"
 ./target/debug/netrs-analyze control "netrs-ilp=$SMOKE/ctl-a.jsonl" \
     | grep -q "plan churn"
 
+echo "==> scale-placement smoke (k=32 NetRS-ILP, greedy plan, deterministic stream)"
+# At k=32 the model is too large for the ILP, so Auto plans with the greedy
+# alone. Same seed twice: identical control streams, and the bootstrap
+# solve record must be the greedy's, opening the pinned 19 RSNodes.
+for i in a b; do
+    ./target/debug/simulate --config tests/fixtures/scale-ilp-smoke.json \
+        --control "$SMOKE/scale-ctl-$i.jsonl" --json > /dev/null
+done
+cmp "$SMOKE/scale-ctl-a.jsonl" "$SMOKE/scale-ctl-b.jsonl"
+grep '"trigger":"initial"' "$SMOKE/scale-ctl-a.jsonl" > "$SMOKE/scale-boot.jsonl"
+grep -q '"solve":{"greedy":true,' "$SMOKE/scale-boot.jsonl"
+grep -q '"objective":19}' "$SMOKE/scale-boot.jsonl"
+
 echo "==> perf smoke (tiny perf suite, artifact validates)"
 # Runs the perf harness end to end at test scale and validates the
 # artifact's shape. Deliberately no time gating: CI boxes are too noisy

@@ -26,6 +26,7 @@
 //! instantiated.
 
 use std::collections::{BTreeMap, BTreeSet, HashMap};
+use std::sync::OnceLock;
 
 use netrs_ilp::{BranchAndBound, IlpError, Problem, Sense, VarId};
 use netrs_netdev::{AcceleratorConfig, GroupId};
@@ -244,6 +245,132 @@ pub struct PlacementProblem<'a> {
     cons: &'a PlanConstraints,
     /// Operators excluded from candidacy (failed or overloaded devices).
     excluded: BTreeSet<SwitchId>,
+    /// The per-instance facts, built on first use once the exclusions
+    /// are final.
+    index: OnceLock<PlacementIndex>,
+}
+
+/// What a [`PlacementProblem`] knows about each group and candidate
+/// operator, computed once so the greedy and the ILP builder only scan.
+#[derive(Debug)]
+struct PlacementIndex {
+    /// Each group's accelerator load ([`PlacementProblem::load_of`]).
+    load: Vec<f64>,
+    /// Each group's candidates in R-matrix order (own ToR, pod aggs,
+    /// cores): the position in `operators` and the group's extra-hop rate
+    /// there.
+    candidates: Vec<Vec<(usize, f64)>>,
+    /// The candidate universe, in ascending switch order.
+    operators: Vec<Operator>,
+}
+
+/// One candidate operator of the index.
+#[derive(Debug)]
+struct Operator {
+    sw: SwitchId,
+    /// Its own accelerator capacity ([`PlacementProblem::capacity_of`]).
+    capacity: f64,
+    /// The shared-accelerator sets listing the switch, in set order. A
+    /// switch belongs to at most one set, and the greedy charges only the
+    /// first; the ILP rows list it under every set that names it.
+    shared: Vec<usize>,
+    /// Every group that may use the operator, in the greedy's absorb
+    /// order: ascending extra-hop rate, then descending load, ties by
+    /// ascending group id.
+    takers: Vec<Taker>,
+}
+
+/// A group as seen from one of its candidate operators.
+#[derive(Debug, Clone, Copy)]
+struct Taker {
+    group: GroupId,
+    hop_rate: f64,
+    load: f64,
+}
+
+impl PlacementIndex {
+    fn build(p: &PlacementProblem<'_>) -> Self {
+        let load: Vec<f64> = (0..p.groups.len() as GroupId)
+            .map(|g| p.load_of(g))
+            .collect();
+        let cores = p.core_candidate_count(load.iter().sum());
+        let switches: Vec<Vec<SwitchId>> = (0..p.groups.len() as GroupId)
+            .map(|g| p.candidate_switches(g, cores))
+            .collect();
+        let universe: BTreeSet<SwitchId> = switches.iter().flatten().copied().collect();
+        let mut operators: Vec<Operator> = universe
+            .into_iter()
+            .map(|sw| Operator {
+                sw,
+                capacity: p.capacity_of(sw),
+                shared: (p.cons.shared_accelerators.iter().enumerate())
+                    .filter(|(_, (set, _))| set.contains(&sw.0))
+                    .map(|(i, _)| i)
+                    .collect(),
+                takers: Vec::new(),
+            })
+            .collect();
+        let candidates: Vec<Vec<(usize, f64)>> = switches
+            .iter()
+            .enumerate()
+            .map(|(g, sws)| {
+                let g = g as GroupId;
+                sws.iter()
+                    .map(|&sw| {
+                        let op = operators
+                            .binary_search_by_key(&sw, |o| o.sw)
+                            .expect("every candidate is in the universe");
+                        let hop_rate = p.extra_hop_rate(g, sw);
+                        operators[op].takers.push(Taker {
+                            group: g,
+                            hop_rate,
+                            load: load[g as usize],
+                        });
+                        (op, hop_rate)
+                    })
+                    .collect()
+            })
+            .collect();
+        // Stable over ascending group ids, so filtering out placed groups
+        // later yields exactly the order a sort of the survivors would.
+        for op in &mut operators {
+            op.takers.sort_by(|a, b| {
+                (a.hop_rate, -a.load)
+                    .partial_cmp(&(b.hop_rate, -b.load))
+                    .unwrap_or(std::cmp::Ordering::Equal)
+            });
+        }
+        PlacementIndex {
+            load,
+            candidates,
+            operators,
+        }
+    }
+}
+
+/// What the operator would absorb from the live groups within `cap` and
+/// `hops`: walks its takers in order, taking each group that still fits,
+/// and reports each taken group to `take`. Returns the taken load and the
+/// extra hops it spends.
+fn absorb(
+    takers: &[Taker],
+    live: &[bool],
+    mut cap: f64,
+    mut hops: f64,
+    mut take: impl FnMut(GroupId),
+) -> (f64, f64) {
+    let mut taken_load = 0.0;
+    let mut hops_used = 0.0;
+    for t in takers.iter().filter(|t| live[t.group as usize]) {
+        if t.load <= cap + 1e-9 && t.hop_rate <= hops + 1e-9 {
+            cap -= t.load;
+            hops -= t.hop_rate;
+            hops_used += t.hop_rate;
+            taken_load += t.load;
+            take(t.group);
+        }
+    }
+    (taken_load, hops_used)
 }
 
 impl<'a> PlacementProblem<'a> {
@@ -270,6 +397,7 @@ impl<'a> PlacementProblem<'a> {
             traffic,
             cons,
             excluded: BTreeSet::new(),
+            index: OnceLock::new(),
         }
     }
 
@@ -277,7 +405,12 @@ impl<'a> PlacementProblem<'a> {
     #[must_use]
     pub fn without_operators(mut self, excluded: impl IntoIterator<Item = SwitchId>) -> Self {
         self.excluded.extend(excluded);
+        self.index = OnceLock::new();
         self
+    }
+
+    fn index(&self) -> &PlacementIndex {
+        self.index.get_or_init(|| PlacementIndex::build(self))
     }
 
     /// The accelerator task-rate capacity of an operator (`U·c/t`, or its
@@ -312,18 +445,33 @@ impl<'a> PlacementProblem<'a> {
             .sum()
     }
 
-    /// How many core-switch candidates the model instantiates.
-    fn core_candidate_count(&self) -> u32 {
+    /// How many core-switch candidates the model instantiates, given the
+    /// summed load of every group.
+    fn core_candidate_count(&self, total_load: f64) -> u32 {
         if self.cons.core_candidates > 0 {
             return self.cons.core_candidates.min(self.topo.num_cores());
         }
         // Enough cores to absorb the entire load, plus one slack.
-        let total_load: f64 = (0..self.groups.len() as GroupId)
-            .map(|g| self.load_of(g))
-            .sum();
         let core_cap = self.capacity_of(self.topo.core(0)).max(1e-9);
-        let needed = (total_load / core_cap).ceil() as u32 + 1;
+        // Saturating: a zero-capacity core needs every core, not a wrap.
+        let needed = ((total_load / core_cap).ceil() as u32).saturating_add(1);
         needed.clamp(1, self.topo.num_cores())
+    }
+
+    /// The R-matrix rules of §III-B for one group: own ToR, own-pod
+    /// aggregation switches, the first `cores` core switches, minus
+    /// excluded devices.
+    fn candidate_switches(&self, g: GroupId, cores: u32) -> Vec<SwitchId> {
+        let info = self.groups.info(g);
+        let pod = self
+            .topo
+            .pod_of_switch(info.tor)
+            .expect("group ToRs always have a pod");
+        std::iter::once(info.tor)
+            .chain((0..self.topo.arity() / 2).map(|i| self.topo.agg(pod, i)))
+            .chain((0..cores).map(|c| self.topo.core(c)))
+            .filter(|sw| !self.excluded.contains(sw))
+            .collect()
     }
 
     /// The candidate operators of a group, per the R-matrix rules of
@@ -331,28 +479,18 @@ impl<'a> PlacementProblem<'a> {
     /// (symmetry-reduced), minus excluded devices.
     #[must_use]
     pub fn candidates(&self, g: GroupId) -> Vec<SwitchId> {
-        let info = self.groups.info(g);
-        let pod = self
-            .topo
-            .pod_of_switch(info.tor)
-            .expect("group ToRs always have a pod");
-        let mut out = Vec::new();
-        if !self.excluded.contains(&info.tor) {
-            out.push(info.tor);
-        }
-        for i in 0..self.topo.arity() / 2 {
-            let agg = self.topo.agg(pod, i);
-            if !self.excluded.contains(&agg) {
-                out.push(agg);
-            }
-        }
-        for c in 0..self.core_candidate_count() {
-            let core = self.topo.core(c);
-            if !self.excluded.contains(&core) {
-                out.push(core);
-            }
-        }
-        out
+        let ix = self.index();
+        ix.candidates[g as usize]
+            .iter()
+            .map(|&(op, _)| ix.operators[op].sw)
+            .collect()
+    }
+
+    /// Groups with no candidate left (every operator on their paths is
+    /// excluded): they can only run DRS, whichever solver plans.
+    fn stranded(&self) -> impl Iterator<Item = GroupId> + '_ {
+        let ix = self.index();
+        (0..self.groups.len() as GroupId).filter(|&g| ix.candidates[g as usize].is_empty())
     }
 
     /// Builds the ILP over the groups *not* in `drs`. Returns the model
@@ -363,66 +501,71 @@ impl<'a> PlacementProblem<'a> {
         &self,
         drs: &BTreeSet<GroupId>,
     ) -> (Problem, AssignmentVars, BTreeMap<SwitchId, VarId>) {
+        let ix = self.index();
         let mut p = Problem::minimize();
-        let mut pvars: AssignmentVars = Vec::new();
-        let mut dvars: BTreeMap<SwitchId, VarId> = BTreeMap::new();
         let active: Vec<GroupId> = (0..self.groups.len() as GroupId)
             .filter(|g| !drs.contains(g))
             .collect();
+        let cands = |g: GroupId| ix.candidates[g as usize].iter().copied();
 
-        // D variables first (cost 1 each, Eq. 1), then P variables
-        // (cost 0) for each (group, candidate) pair — Eq. 4 by
-        // construction.
+        // D variables first (cost 1 each, Eq. 1), numbered in order of
+        // first appearance.
+        let mut dvar_of: Vec<Option<VarId>> = vec![None; ix.operators.len()];
         for &g in &active {
-            for sw in self.candidates(g) {
-                dvars.entry(sw).or_insert_with(|| p.add_binary(1.0));
+            for (op, _) in cands(g) {
+                dvar_of[op].get_or_insert_with(|| p.add_binary(1.0));
             }
         }
+        // Then P variables (cost 0) for each (group, candidate) pair —
+        // Eq. 4 by construction — while bucketing each one's terms for
+        // the operator, shared-accelerator and hop-budget rows, so every
+        // row lists its terms in P-variable order.
+        let mut pvars: AssignmentVars = Vec::new();
+        let mut per_op: Vec<Vec<(VarId, f64)>> = vec![Vec::new(); ix.operators.len()];
+        let mut per_set: Vec<Vec<(VarId, f64)>> =
+            vec![Vec::new(); self.cons.shared_accelerators.len()];
+        let mut hop_terms: Vec<(VarId, f64)> = Vec::new();
         for &g in &active {
-            for sw in self.candidates(g) {
+            let load = ix.load[g as usize];
+            for (op, hop_rate) in cands(g) {
                 let v = p.add_binary(0.0);
-                pvars.push((g, sw, v));
+                pvars.push((g, ix.operators[op].sw, v));
+                per_op[op].push((v, load));
+                for &set in &ix.operators[op].shared {
+                    per_set[set].push((v, load));
+                }
+                if hop_rate > 0.0 {
+                    hop_terms.push((v, hop_rate));
+                }
             }
         }
 
-        // Eq. 5: exactly one RSNode per group.
+        // Eq. 5: exactly one RSNode per group (its P variables are
+        // consecutive).
+        let mut next = 0;
         for &g in &active {
-            let terms: Vec<(VarId, f64)> = pvars
-                .iter()
-                .filter(|&&(pg, _, _)| pg == g)
-                .map(|&(_, _, v)| (v, 1.0))
-                .collect();
-            if !terms.is_empty() {
+            let n = ix.candidates[g as usize].len();
+            if n > 0 {
+                let terms = pvars[next..next + n].iter().map(|&(_, _, v)| (v, 1.0));
                 p.add_constraint(terms, Sense::Eq, 1.0);
             }
+            next += n;
         }
 
         let big_g = active.len().max(1) as f64;
-        for (&sw, &dv) in &dvars {
-            let assigned: Vec<&(GroupId, SwitchId, VarId)> =
-                pvars.iter().filter(|&&(_, s, _)| s == sw).collect();
+        for ((op, terms), dv) in ix.operators.iter().zip(&per_op).zip(&dvar_of) {
+            let Some(dv) = *dv else { continue };
             // Eq. 3 (aggregated linking).
-            let mut link: Vec<(VarId, f64)> = assigned.iter().map(|&&(_, _, v)| (v, 1.0)).collect();
-            link.push((dv, -big_g));
+            let link = terms.iter().map(|&(v, _)| (v, 1.0)).chain([(dv, -big_g)]);
             p.add_constraint(link, Sense::Le, 0.0);
             // Eq. 6 (capacity).
-            let cap_terms: Vec<(VarId, f64)> = assigned
-                .iter()
-                .map(|&&(g, _, v)| (v, self.load_of(g)))
-                .collect();
-            p.add_constraint(cap_terms, Sense::Le, self.capacity_of(sw));
+            p.add_constraint(terms.iter().copied(), Sense::Le, op.capacity);
         }
 
         // §III-B's shared-accelerator variant of Eq. 6: the summed load
         // of all switches wired to one accelerator stays within that
         // accelerator's capacity.
-        for (set, cap) in &self.cons.shared_accelerators {
-            let members: BTreeSet<u32> = set.iter().copied().collect();
-            let terms: Vec<(VarId, f64)> = pvars
-                .iter()
-                .filter(|&&(_, sw, _)| members.contains(&sw.0))
-                .map(|&(g, _, v)| (v, self.load_of(g)))
-                .collect();
+        for ((_, cap), terms) in self.cons.shared_accelerators.iter().zip(per_set) {
             if !terms.is_empty() {
                 p.add_constraint(terms, Sense::Le, *cap);
             }
@@ -430,131 +573,95 @@ impl<'a> PlacementProblem<'a> {
 
         // Eq. 7 (global extra-hop budget), only if finite.
         if self.cons.extra_hop_budget.is_finite() {
-            let terms: Vec<(VarId, f64)> = pvars
-                .iter()
-                .map(|&(g, sw, v)| (v, self.extra_hop_rate(g, sw)))
-                .filter(|&(_, c)| c > 0.0)
-                .collect();
-            p.add_constraint(terms, Sense::Le, self.cons.extra_hop_budget);
+            p.add_constraint(hop_terms, Sense::Le, self.cons.extra_hop_budget);
         }
 
-        (p, pvars, dvars)
-    }
-
-    /// Index of the shared-accelerator set a switch belongs to, if any.
-    fn shared_set_of(&self, sw: SwitchId) -> Option<usize> {
-        self.cons
-            .shared_accelerators
+        let dvars = ix
+            .operators
             .iter()
-            .position(|(set, _)| set.contains(&sw.0))
+            .zip(dvar_of)
+            .filter_map(|(op, dv)| Some((op.sw, dv?)))
+            .collect();
+        (p, pvars, dvars)
     }
 
     /// The greedy heuristic: repeatedly open (or extend) the operator
     /// that absorbs the most remaining load within its capacity (own and
     /// shared-accelerator, if any) and the global hop budget; groups
-    /// nothing can absorb fall back to DRS — highest-traffic groups are
-    /// preferred for DRS exactly as §III-C prescribes.
+    /// nothing can absorb fall back to DRS (§III-C).
+    ///
+    /// Each round scans every operator's pre-sorted takers once, skipping
+    /// placed groups, so it costs O(candidate pairs). Operators are
+    /// scanned in ascending switch order and a later one wins only with
+    /// more load, or equal load on an already opened operator.
     #[must_use]
     pub fn solve_greedy(&self) -> Rsp {
-        let mut remaining: BTreeSet<GroupId> = (0..self.groups.len() as GroupId).collect();
-        let mut cap_left: HashMap<SwitchId, f64> = HashMap::new();
-        let mut shared_left: Vec<f64> = self
-            .cons
-            .shared_accelerators
-            .iter()
+        let ix = self.index();
+        let mut rsp = Rsp::default();
+        let mut live = vec![true; self.groups.len()];
+        for g in self.stranded() {
+            live[g as usize] = false;
+            rsp.drs.insert(g);
+        }
+        let mut cap_left: Vec<f64> = ix.operators.iter().map(|op| op.capacity).collect();
+        let mut shared_left: Vec<f64> = (self.cons.shared_accelerators.iter())
             .map(|&(_, cap)| cap)
             .collect();
-        let mut opened: BTreeSet<SwitchId> = BTreeSet::new();
+        let mut opened = vec![false; ix.operators.len()];
         let mut hops_left = self.cons.extra_hop_budget;
-        let mut rsp = Rsp::default();
+        // An operator's usable capacity: its own, capped by its
+        // shared accelerator's.
+        let usable = |o: usize, cap_left: &[f64], shared_left: &[f64]| {
+            let shared = ix.operators[o].shared.first();
+            shared.map_or(cap_left[o], |&set| cap_left[o].min(shared_left[set]))
+        };
 
-        // Candidate operator universe.
-        let mut universe: BTreeSet<SwitchId> = BTreeSet::new();
-        for g in remaining.iter().copied() {
-            universe.extend(self.candidates(g));
-        }
-
-        while !remaining.is_empty() {
-            let mut best: Option<(f64, bool, SwitchId, Vec<GroupId>, f64)> = None;
-            for &sw in &universe {
-                let mut cap = *cap_left.entry(sw).or_insert_with(|| self.capacity_of(sw));
-                if let Some(set) = self.shared_set_of(sw) {
-                    cap = cap.min(shared_left[set]);
-                }
-                let mut hops = hops_left;
-                // Absorb cheap-hop, heavy groups first.
-                let mut takers: Vec<GroupId> = remaining
-                    .iter()
-                    .copied()
-                    .filter(|&g| self.candidates(g).contains(&sw))
-                    .collect();
-                takers.sort_by(|&a, &b| {
-                    let ka = (self.extra_hop_rate(a, sw), -self.load_of(a));
-                    let kb = (self.extra_hop_rate(b, sw), -self.load_of(b));
-                    ka.partial_cmp(&kb).unwrap_or(std::cmp::Ordering::Equal)
-                });
-                let mut taken = Vec::new();
-                let mut taken_load = 0.0;
-                let mut hops_used = 0.0;
-                for g in takers {
-                    let load = self.load_of(g);
-                    let hr = self.extra_hop_rate(g, sw);
-                    if load <= cap + 1e-9 && hr <= hops + 1e-9 {
-                        cap -= load;
-                        hops -= hr;
-                        hops_used += hr;
-                        taken_load += load;
-                        taken.push(g);
-                    }
-                }
-                if taken.is_empty() {
+        loop {
+            // (taken load, already open, operator, hops spent)
+            let mut best: Option<(f64, bool, usize, f64)> = None;
+            for (o, op) in ix.operators.iter().enumerate() {
+                let cap = usable(o, &cap_left, &shared_left);
+                let mut took = false;
+                let (load, hops) = absorb(&op.takers, &live, cap, hops_left, |_| took = true);
+                if !took {
                     continue;
                 }
-                let already_open = opened.contains(&sw);
-                let key = (taken_load, already_open, sw, taken, hops_used);
-                let better = match &best {
+                let better = match best {
                     None => true,
                     Some((bl, bo, ..)) => {
-                        key.0 > *bl + 1e-9 || ((key.0 - *bl).abs() <= 1e-9 && key.1 && !bo)
+                        load > bl + 1e-9 || ((load - bl).abs() <= 1e-9 && opened[o] && !bo)
                     }
                 };
                 if better {
-                    best = Some(key);
+                    best = Some((load, opened[o], o, hops));
                 }
             }
 
-            match best {
-                Some((_, _, sw, taken, hops_used)) => {
-                    opened.insert(sw);
-                    let shared = self.shared_set_of(sw);
-                    let cap = cap_left.get_mut(&sw).expect("entry created above");
-                    for g in taken {
-                        let load = self.load_of(g);
-                        *cap -= load;
-                        if let Some(set) = shared {
-                            shared_left[set] -= load;
-                        }
-                        remaining.remove(&g);
-                        rsp.assignment.insert(g, sw);
-                    }
-                    hops_left -= hops_used;
+            let Some((_, _, o, hops_used)) = best else {
+                // Nothing can take anything (or nothing is left), and
+                // capacity and budget only shrink, so nothing ever will:
+                // every remaining group degrades (§III-C).
+                rsp.drs
+                    .extend((0..self.groups.len() as GroupId).filter(|&g| live[g as usize]));
+                break;
+            };
+            let cap = usable(o, &cap_left, &shared_left);
+            let mut taken = Vec::new();
+            absorb(&ix.operators[o].takers, &live, cap, hops_left, |g| {
+                taken.push(g);
+            });
+            opened[o] = true;
+            let shared = ix.operators[o].shared.first();
+            for g in taken {
+                let load = ix.load[g as usize];
+                cap_left[o] -= load;
+                if let Some(&set) = shared {
+                    shared_left[set] -= load;
                 }
-                None => {
-                    // Nothing can take anything: degrade the
-                    // highest-traffic remaining group (§III-C).
-                    let g = remaining
-                        .iter()
-                        .copied()
-                        .max_by(|&a, &b| {
-                            self.load_of(a)
-                                .partial_cmp(&self.load_of(b))
-                                .unwrap_or(std::cmp::Ordering::Equal)
-                        })
-                        .expect("remaining is non-empty");
-                    remaining.remove(&g);
-                    rsp.drs.insert(g);
-                }
+                live[g as usize] = false;
+                rsp.assignment.insert(g, ix.operators[o].sw);
             }
+            hops_left -= hops_used;
         }
         rsp
     }
@@ -590,9 +697,7 @@ impl<'a> PlacementProblem<'a> {
                 // The dense-simplex improvement phase pays off only while
                 // the model stays moderate; past that the greedy plan IS
                 // the anytime answer (the paper's early-termination mode).
-                let model_size: usize = (0..self.groups.len() as GroupId)
-                    .map(|g| self.candidates(g).len())
-                    .sum();
+                let model_size: usize = self.index().candidates.iter().map(Vec::len).sum();
                 if model_size > 2_500 {
                     return self.greedy_with_stats(stats);
                 }
@@ -600,7 +705,12 @@ impl<'a> PlacementProblem<'a> {
             }
         };
 
-        let mut drs: BTreeSet<GroupId> = warm.as_ref().map(|w| w.drs.clone()).unwrap_or_default();
+        // A group without candidates has no Eq. 5 row, so the model would
+        // silently leave it in neither the assignment nor DRS.
+        let mut drs: BTreeSet<GroupId> = self.stranded().collect();
+        if let Some(w) = &warm {
+            drs.extend(&w.drs);
+        }
         loop {
             let (problem, pvars, dvars) = self.to_ilp(&drs);
             stats.variables = problem.num_vars();
@@ -674,6 +784,11 @@ impl<'a> PlacementProblem<'a> {
         }
     }
 }
+
+#[cfg(test)]
+mod props;
+#[cfg(test)]
+mod reference;
 
 #[cfg(test)]
 mod tests {
@@ -967,5 +1082,34 @@ mod tests {
         let p = PlacementProblem::new(&topo, &groups, &traffic, &cons);
         let rsp = p.solve(PlanSolver::default());
         assert!(rsp.assignment.is_empty() && rsp.drs.is_empty());
+    }
+
+    #[test]
+    fn stranded_group_runs_drs_under_every_solver() {
+        // Group 0 (hosts 0 and 1) loses all five candidates: its ToR, both
+        // pod-0 aggs and the two instantiated cores. The exact model has
+        // no Eq. 5 row for it, so it must be put in DRS up front rather
+        // than land in neither the assignment nor DRS.
+        let topo = FatTree::new(4).unwrap();
+        let clients = [0, 1, 4, 8].map(HostId);
+        let groups = TrafficGroups::rack_level(&topo, &clients);
+        let servers: Vec<HostId> = (12..15).map(HostId).collect();
+        let rates: Vec<(HostId, f64)> = clients.iter().map(|&h| (h, 100.0)).collect();
+        let traffic = TrafficMatrix::oracle(&topo, &groups, &rates, &servers);
+        let cons = PlanConstraints::default();
+        let p = PlacementProblem::new(&topo, &groups, &traffic, &cons);
+        let gone = p.candidates(0);
+        assert_eq!(gone.len(), 5);
+        let p = p.without_operators(gone);
+        assert!(p.candidates(0).is_empty());
+        for solver in [
+            PlanSolver::Greedy,
+            PlanSolver::Exact { node_limit: 10_000 },
+            PlanSolver::Auto { node_limit: 10_000 },
+        ] {
+            let rsp = p.solve(solver);
+            assert_eq!(rsp.drs, BTreeSet::from([0]), "{solver:?}: {rsp:?}");
+            assert_eq!(rsp.assignment.len(), groups.len() - 1, "{solver:?}");
+        }
     }
 }
