@@ -1224,59 +1224,6 @@ pub fn perf_report(entries: &[(String, PerfArtifact)]) -> String {
             );
             kind_table(&mut out, run);
         }
-        let grid: Vec<&HostProfile> = latest_by_label(&art.runs)
-            .into_iter()
-            .filter(|r| r.parallel.is_some())
-            .collect();
-        if !grid.is_empty() {
-            // The sharded-parallel throughput grid: speedup is relative
-            // to the suite's sequential-engine baseline row when one was
-            // measured alongside.
-            let seq_eps = latest_by_label(&art.runs)
-                .into_iter()
-                .find(|r| r.label.ends_with("sharded-parallel/seq"))
-                .map(|r| r.events_per_sec);
-            let _ = writeln!(out);
-            let _ = writeln!(out, "   sharded-parallel grid:");
-            let _ = writeln!(
-                out,
-                "     {:<26} {:>6} {:>7} {:>8} {:>10} {:>12} {:>8} {:>10}",
-                "label",
-                "shards",
-                "threads",
-                "windows",
-                "ev/window",
-                "events/s",
-                "speedup",
-                "imbalance"
-            );
-            for run in grid {
-                let p = run.parallel.as_ref().expect("filtered on parallel");
-                let speedup = match seq_eps {
-                    Some(base) if base > 0.0 => {
-                        format!("{:.2}x", run.events_per_sec / base)
-                    }
-                    _ => "-".to_string(),
-                };
-                let imbalance = if p.busy_imbalance > 0.0 {
-                    format!("{:.2}x", p.busy_imbalance)
-                } else {
-                    "-".to_string()
-                };
-                let _ = writeln!(
-                    out,
-                    "     {:<26} {:>6} {:>7} {:>8} {:>10.1} {:>12.0} {:>8} {:>10}",
-                    run.label,
-                    p.shards,
-                    p.threads,
-                    p.windows,
-                    p.events_per_window,
-                    run.events_per_sec,
-                    speedup,
-                    imbalance
-                );
-            }
-        }
         if art.runs.len() > 1 {
             let _ = writeln!(out);
             let _ = writeln!(
@@ -1340,57 +1287,6 @@ pub fn perf_report(entries: &[(String, PerfArtifact)]) -> String {
     out
 }
 
-/// Gates the parallel entry point's dispatch overhead inside one perf
-/// artifact: the latest `…sharded-parallel/s1-t1` row (one shard, one
-/// thread — the parallel runner collapsing to the sequential engine)
-/// must hold at least `1 - threshold` of the latest
-/// `…sharded-parallel/seq` baseline's throughput. Wall-clock–free CI
-/// boxes keep their protection from the byte-identity tests; this gate
-/// exists so a dispatch-layer slowdown shows up where throughput is
-/// actually measured.
-///
-/// Returns `Ok(None)` when the artifact carries no such pair of rows.
-///
-/// # Errors
-///
-/// Returns the regression description when the gated row falls below
-/// the baseline by more than `threshold`.
-pub fn parallel_gate(artifact: &PerfArtifact, threshold: f64) -> Result<Option<String>, String> {
-    let latest = latest_by_label(&artifact.runs);
-    let seq = latest
-        .iter()
-        .find(|r| r.label.ends_with("sharded-parallel/seq"));
-    let gated = latest.iter().find(|r| {
-        r.label.contains("sharded-parallel/")
-            && r.parallel
-                .as_ref()
-                .is_some_and(|p| p.shards == 1 && p.threads == 1)
-    });
-    let (Some(seq), Some(gated)) = (seq, gated) else {
-        return Ok(None);
-    };
-    if seq.events_per_sec <= 0.0 {
-        return Ok(None);
-    }
-    let ratio = gated.events_per_sec / seq.events_per_sec;
-    let line = format!(
-        "parallel gate: {} at {:.0} events/s vs {} at {:.0} events/s ({:.1}% of baseline)\n",
-        gated.label,
-        gated.events_per_sec,
-        seq.label,
-        seq.events_per_sec,
-        ratio * 100.0
-    );
-    if ratio < 1.0 - threshold {
-        return Err(format!(
-            "{line}parallel 1-shard/1-thread dispatch regressed more than {:.0}% below the \
-             sequential baseline",
-            threshold * 100.0
-        ));
-    }
-    Ok(Some(line))
-}
-
 /// Loads a `simulate sweep` artifact (one pretty-printed
 /// [`SweepReport`] JSON document), rejecting unknown schema versions.
 ///
@@ -1441,42 +1337,22 @@ pub fn sweep_report(report: &SweepReport) -> String {
     };
     let _ = writeln!(out, "{timing}");
     let _ = writeln!(out);
-    // Window-driver columns appear only when some cell actually ran the
-    // windowed engine (shards > 1), so single-shard sweeps keep their
-    // narrow table.
-    let windowed = report.cells.iter().any(|c| c.stats.parallel.is_some());
-    let _ = write!(
+    let _ = writeln!(
         out,
-        "{:<16} {:>6} {:>7} {:>10} {:>10} {:>10} {:>9}",
-        "label", "seed", "shards", "completed", "mean", "p99", "wall_s"
+        "{:<16} {:>6} {:>10} {:>10} {:>10} {:>9}",
+        "label", "seed", "completed", "mean", "p99", "wall_s"
     );
-    if windowed {
-        let _ = write!(out, " {:>8} {:>6}", "windows", "late");
-    }
-    let _ = writeln!(out);
     for cell in &report.cells {
-        let _ = write!(
+        let _ = writeln!(
             out,
-            "{:<16} {:>6} {:>7} {:>10} {:>10} {:>10} {:>9.3}",
+            "{:<16} {:>6} {:>10} {:>10} {:>10} {:>9.3}",
             cell.label,
             cell.seed,
-            cell.shards,
             cell.stats.completed,
             fmt_dur(cell.stats.latency.mean),
             fmt_dur(cell.stats.latency.p99),
             cell.wall_s
         );
-        if windowed {
-            match cell.stats.parallel.as_ref() {
-                Some(p) => {
-                    let _ = write!(out, " {:>8} {:>6}", p.windows, p.mailbox_late);
-                }
-                None => {
-                    let _ = write!(out, " {:>8} {:>6}", "-", "-");
-                }
-            }
-        }
-        let _ = writeln!(out);
     }
     out
 }
@@ -1633,7 +1509,6 @@ mod tests {
                 events: 0,
                 availability: avail,
                 rw: None,
-                parallel: None,
             }
         }
 
@@ -1724,7 +1599,6 @@ baseline           8000 (fault-free run)
                 events: 0,
                 availability: None,
                 rw,
-                parallel: None,
             }
         }
 
@@ -1826,18 +1700,10 @@ switch:20         500     1500      25.0%        1       600           350
         use netrs_sim::SweepCell;
         use netrs_simcore::SimTime;
 
-        fn cell(
-            label: &str,
-            seed: u64,
-            shards: u32,
-            mean_us: u64,
-            p99_us: u64,
-            wall_s: f64,
-        ) -> SweepCell {
+        fn cell(label: &str, seed: u64, mean_us: u64, p99_us: u64, wall_s: f64) -> SweepCell {
             SweepCell {
                 label: label.to_string(),
                 seed,
-                shards,
                 wall_s,
                 stats: RunStats {
                     scheme: Scheme::CliRs,
@@ -1869,7 +1735,6 @@ switch:20         500     1500      25.0%        1       600           350
                     events: 0,
                     availability: None,
                     rw: None,
-                    parallel: None,
                 },
             }
         }
@@ -1881,17 +1746,17 @@ switch:20         500     1500      25.0%        1       600           350
             sequential_wall_s: Some(48.0),
             speedup: Some(3.84),
             cells: vec![
-                cell("CliRS", 1, 1, 3_668, 16_908, 0.251),
-                cell("NetRS-ToR", 2, 4, 1_234, 7_777, 1.5),
+                cell("CliRS", 1, 3_668, 16_908, 0.251),
+                cell("NetRS-ToR", 2, 1_234, 7_777, 1.5),
             ],
         };
         let expected = "\
 ## Sweep: 2 cells (2 configs × 2 seeds) · 4 thread(s)
    parallel 12.50s · sequential 48.00s · speedup 3.84x
 
-label              seed  shards  completed       mean        p99    wall_s
-CliRS                 1       1       8000    3.668ms   16.908ms     0.251
-NetRS-ToR             2       4       8000    1.234ms    7.777ms     1.500
+label              seed  completed       mean        p99    wall_s
+CliRS                 1       8000    3.668ms   16.908ms     0.251
+NetRS-ToR             2       8000    1.234ms    7.777ms     1.500
 ";
         assert_eq!(sweep_report(&report), expected);
 
@@ -1904,6 +1769,36 @@ NetRS-ToR             2       4       8000    1.234ms    7.777ms     1.500
             sweep_report(&no_baseline).contains("parallel 12.50s (no sequential baseline)"),
             "baseline-free sweeps must say so"
         );
+    }
+
+    #[test]
+    fn sweep_artifacts_with_a_shards_field_still_load_and_render() {
+        // Sweeps recorded while the intra-run sharded engine existed carry
+        // a per-cell `shards` field; it is ignored on load.
+        let mut cfg = netrs_sim::SimConfig::small();
+        cfg.requests = 300;
+        let report = netrs_sim::run_sweep(
+            vec![netrs_sim::SweepJob {
+                label: "CliRS".into(),
+                cfg,
+                seed: 3,
+            }],
+            1,
+            false,
+        );
+        let text = serde_json::to_string_pretty(&report).expect("sweep serializes");
+        let legacy = text.replacen("\"seed\": 3,", "\"seed\": 3,\n      \"shards\": 4,", 1);
+        assert!(legacy.contains("\"shards\": 4"), "{legacy}");
+        let path = std::env::temp_dir().join(format!(
+            "netrs-analyze-legacy-sweep-{}.json",
+            std::process::id()
+        ));
+        std::fs::write(&path, &legacy).expect("temp file writes");
+        let loaded = load_sweep(path.to_str().expect("utf-8 temp path"));
+        let _ = std::fs::remove_file(&path);
+        let loaded = loaded.expect("legacy sweep loads");
+        assert_eq!(sweep_report(&loaded), sweep_report(&report));
+        assert!(!sweep_report(&loaded).contains("shards"));
     }
 
     #[test]
@@ -2076,7 +1971,6 @@ NetRS-ToR             2       4       8000    1.234ms    7.777ms     1.500
                 deallocs: 100,
                 peak_bytes: 9_000_000,
             }),
-            parallel: None,
             kinds: vec![
                 KindRecord {
                     kind: "Generate".into(),
@@ -2206,60 +2100,6 @@ NetRS-ToR             2       4       8000    1.234ms    7.777ms     1.500
         ]);
         assert!(report.contains("## Perf comparison"), "{report}");
         assert!(report.contains("ns/event"), "{report}");
-    }
-
-    #[test]
-    fn parallel_gate_passes_fails_and_skips() {
-        use netrs_sim::ParallelPerf;
-        let row = |label: &str, eps: f64, parallel: Option<ParallelPerf>| {
-            let mut p = host_profile(label, 18_000, eps);
-            p.parallel = parallel;
-            p
-        };
-        let marker = ParallelPerf {
-            shards: 1,
-            threads: 1,
-            windows: 0,
-            events_per_window: 0.0,
-            busy_imbalance: 0.0,
-        };
-        // No sharded-parallel rows at all: nothing to gate.
-        let plain = PerfArtifact {
-            runs: vec![row("smoke/CliRS", 1_000_000.0, None)],
-        };
-        assert_eq!(parallel_gate(&plain, 0.1).unwrap(), None);
-
-        // Dispatch within threshold passes and reports the ratio.
-        let ok = PerfArtifact {
-            runs: vec![
-                row("smoke/sharded-parallel/seq", 1_000_000.0, None),
-                row("smoke/sharded-parallel/s1-t1", 950_000.0, Some(marker)),
-            ],
-        };
-        let line = parallel_gate(&ok, 0.1).unwrap().expect("pair gated");
-        assert!(line.contains("95.0% of baseline"), "{line}");
-
-        // A dispatch-layer collapse beyond the threshold fails.
-        let bad = PerfArtifact {
-            runs: vec![
-                row("smoke/sharded-parallel/seq", 1_000_000.0, None),
-                row("smoke/sharded-parallel/s1-t1", 500_000.0, Some(marker)),
-            ],
-        };
-        let err = parallel_gate(&bad, 0.1).unwrap_err();
-        assert!(err.contains("regressed"), "{err}");
-
-        // Only the latest row per label counts: a newer, healthy s1-t1
-        // supersedes the historical regression above.
-        let healed = PerfArtifact {
-            runs: bad
-                .runs
-                .iter()
-                .cloned()
-                .chain([row("smoke/sharded-parallel/s1-t1", 990_000.0, Some(marker))])
-                .collect(),
-        };
-        assert!(parallel_gate(&healed, 0.1).unwrap().is_some());
     }
 
     #[test]

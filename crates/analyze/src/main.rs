@@ -16,8 +16,8 @@ use std::io::Write;
 use netrs_analyze::{
     availability_report, bench_artifact, check_bench, compare_bench, comparison_report,
     control_report, hotspot_report, load_control, load_devices, load_stats, load_sweep,
-    load_timeseries, load_trace, parallel_gate, perf_report, rw_report, split_label, sweep_report,
-    tail_report, timeseries_report, BenchSchema, LabeledTrace,
+    load_timeseries, load_trace, perf_report, rw_report, split_label, sweep_report, tail_report,
+    timeseries_report, BenchSchema, LabeledTrace,
 };
 use netrs_sim::PerfArtifact;
 use serde::Value;
@@ -241,18 +241,6 @@ fn check_bench_cmd(args: &[String]) {
                 BenchSchema::V1 => PerfArtifact::from_value(&artifact).map_or(0, |a| a.runs.len()),
             };
             println!("{path}: valid bench artifact ({n} entries, {schema})");
-            if let BenchSchema::V1 = schema {
-                // The sharded-parallel suite carries its own intra-file
-                // gate: 1-shard/1-thread dispatch vs the sequential
-                // baseline row.
-                if let Ok(art) = PerfArtifact::from_value(&artifact) {
-                    match parallel_gate(&art, threshold) {
-                        Ok(Some(line)) => print!("{line}"),
-                        Ok(None) => {}
-                        Err(e) => fail(&format!("{path}: {e}")),
-                    }
-                }
-            }
         }
         Err(e) => fail(&format!("{path}: {e}")),
     }

@@ -16,8 +16,7 @@ use std::io::Write as _;
 
 use netrs_bench::{
     ablate_c3, ablate_cap, ablate_group, ablate_hops, append_perf_artifact, fig4, fig5, fig6, fig7,
-    paper_base, render_tables, rsp_experiment, run_figure, run_parallel_suite, run_perf_suite,
-    FigureSpec,
+    paper_base, render_tables, rsp_experiment, run_figure, run_perf_suite, FigureSpec,
 };
 use netrs_sim::SimConfig;
 
@@ -189,44 +188,21 @@ fn run_perf(opts: &Options) {
         .out
         .clone()
         .unwrap_or_else(|| "target/repro/BENCH_PERF.json".to_string());
-    let mut runs = run_perf_suite(&cfg, opts.tag.as_deref());
-    // The sharded-parallel throughput grid rides the same artifact; the
-    // fastest of `repeats` walls is kept per cell (tiny --small cells
-    // are pure noise on one run).
-    runs.extend(run_parallel_suite(
-        &cfg,
-        opts.tag.as_deref(),
-        if opts.small { 2 } else { 1 },
-    ));
+    let runs = run_perf_suite(&cfg, opts.tag.as_deref());
     for r in &runs {
-        match r.parallel.as_ref() {
-            Some(p) => log_line(&format!(
-                "perf: {}: {:.3}s wall, {} events, {:.0} events/s, {} shards x {} threads, \
-                 {} windows ({:.1} events/window), busy imbalance {:.2}x",
-                r.label,
-                r.wall_s,
-                r.events,
-                r.events_per_sec,
-                p.shards,
-                p.threads,
-                p.windows,
-                p.events_per_window,
-                p.busy_imbalance,
-            )),
-            None => log_line(&format!(
-                "perf: {}: {:.3}s wall, {} events, {:.0} events/s, {:.1}% attributed, peak RSS {} kB",
-                r.label,
-                r.wall_s,
-                r.events,
-                r.events_per_sec,
-                if r.wall_s > 0.0 {
-                    r.attributed_ns as f64 / (r.wall_s * 1e9) * 100.0
-                } else {
-                    0.0
-                },
-                r.peak_rss_kb
-            )),
-        }
+        log_line(&format!(
+            "perf: {}: {:.3}s wall, {} events, {:.0} events/s, {:.1}% attributed, peak RSS {} kB",
+            r.label,
+            r.wall_s,
+            r.events,
+            r.events_per_sec,
+            if r.wall_s > 0.0 {
+                r.attributed_ns as f64 / (r.wall_s * 1e9) * 100.0
+            } else {
+                0.0
+            },
+            r.peak_rss_kb
+        ));
     }
     let existing = std::fs::read_to_string(&out).ok();
     let artifact = append_perf_artifact(existing.as_deref(), runs).unwrap_or_else(|e| {

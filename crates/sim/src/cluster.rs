@@ -34,8 +34,7 @@ use netrs::Rsp;
 use netrs_kvstore::{ServerId, ServerStatus};
 use netrs_selection::Feedback;
 use netrs_simcore::{
-    DeviceProbe, EventQueue, Histogram, NoDeviceProbe, ParallelWorld, ShardId, ShardedWorld,
-    SimDuration, SimRng, SimTime, World,
+    DeviceProbe, EventQueue, Histogram, NoDeviceProbe, SimDuration, SimRng, SimTime, World,
 };
 use netrs_topology::{FatTree, SwitchId};
 
@@ -200,22 +199,6 @@ impl<D: DeviceProbe> Cluster<D> {
     /// ([`SimConfig::validate`]).
     #[must_use]
     pub fn with_device_probe(cfg: SimConfig, devices: D) -> Self {
-        Cluster::with_shards(cfg, 1, devices)
-    }
-
-    /// Builds the cluster partitioned into `shards` event shards for the
-    /// [`ShardedEngine`](netrs_simcore::ShardedEngine): pods map to
-    /// shards round-robin and each shard's workload generators draw from
-    /// their own RNG stream ([`SimRng::split`]). `shards` is clamped to
-    /// `1..=pods`; at 1 shard the cluster is byte-identical to
-    /// [`Cluster::with_device_probe`].
-    ///
-    /// # Panics
-    ///
-    /// Panics if the configuration is invalid
-    /// ([`SimConfig::validate`]).
-    #[must_use]
-    pub fn with_shards(cfg: SimConfig, shards: u32, devices: D) -> Self {
         let cfg = cfg.finalize();
         if let Err(msg) = cfg.validate() {
             panic!("invalid simulation config: {msg}");
@@ -223,7 +206,7 @@ impl<D: DeviceProbe> Cluster<D> {
         // Every random stream is a pure fork of the root: construction
         // and scheme order never perturb each other's draws.
         let root = SimRng::from_seed(cfg.seed);
-        let core = Core::new(cfg, devices, &root, shards);
+        let core = Core::new(cfg, devices, &root);
         let policy = crate::policy::build(&core, &root);
         Cluster { core, policy }
     }
@@ -280,41 +263,6 @@ impl<D: DeviceProbe> Cluster<D> {
     /// Flushes the trace sink, if any (call after the run drains).
     pub fn flush_tracer(&mut self) {
         self.core.flush_tracer();
-    }
-
-    // ---- replica mode (parallel execution) -------------------------------
-
-    /// Switches this cluster into SPMD replica mode for `shard` (see
-    /// [`Core::enable_replica`]); `quota` is the replica's share of the
-    /// request budget and `lookahead_mult` widens the conservative
-    /// window (`mult × link_latency`; values above 1 trade exactness for
-    /// fewer barriers and are counted by `mailbox_late`).
-    pub(crate) fn enable_replica(&mut self, shard: u32, quota: u64, lookahead_mult: u32) {
-        self.core.enable_replica(shard, quota, lookahead_mult);
-    }
-
-    /// Whether the per-shard workload split can reproduce the global
-    /// client distribution (see [`Core::replica_coverage_ok`]).
-    pub(crate) fn replica_coverage_ok(&self) -> bool {
-        self.core.replica_coverage_ok()
-    }
-
-    /// Buffers trace records for the post-run canonical-order merge
-    /// instead of writing them inline.
-    pub(crate) fn buffer_trace(&mut self) {
-        self.core.buffer_trace();
-    }
-
-    /// The buffered trace lines (receive-time, line), in shard-local
-    /// processing order.
-    pub(crate) fn take_trace_buf(&mut self) -> Vec<(u64, String)> {
-        self.core.take_trace_buf()
-    }
-
-    /// Folds another replica's results into this one (replica 0 absorbs
-    /// shards 1..N after the parallel run drains).
-    pub(crate) fn absorb_replica(&mut self, other: &mut Cluster<D>) {
-        self.core.absorb_replica(&mut other.core);
     }
 
     /// Streams control-plane observability to `w`: one JSONL
@@ -600,47 +548,5 @@ impl<D: DeviceProbe> World for Cluster<D> {
                 }
             }
         }
-    }
-}
-
-impl<D: DeviceProbe> ShardedWorld for Cluster<D> {
-    fn num_shards(&self) -> u32 {
-        self.core.shards()
-    }
-
-    /// Events map to the pod of the device whose state their handler
-    /// touches: generators round-robin by index, RSNode events to the
-    /// operator switch's pod, server events to the server's pod, client
-    /// timers and replies to the issuing client's pod, and cluster-wide
-    /// control events (overload checks, re-plans, sampling, faults) to
-    /// shard 0.
-    fn shard_of(&self, event: &Ev) -> ShardId {
-        ShardId(self.core.shard_of_event(event))
-    }
-
-    /// One link traversal: every pod-crossing hop pays at least one link
-    /// of latency, so a cross-shard event is never closer than this.
-    fn lookahead(&self) -> SimDuration {
-        self.core.cfg.link_latency
-    }
-}
-
-/// Replica-mode parallel execution: each [`Cluster`] instance is one
-/// shard's SPMD replica (see [`Core::enable_replica`]); dispatch is the
-/// same [`World`] impl, routing the same home-shard map as the
-/// sequential windowed engine (plus token-based reply routing).
-impl<D: DeviceProbe + Send> ParallelWorld for Cluster<D> {
-    type Event = Ev;
-
-    fn handle(&mut self, now: SimTime, event: Ev, queue: &mut EventQueue<Ev>) {
-        <Self as World>::handle(self, now, event, queue);
-    }
-
-    fn shard_of(&self, event: &Ev) -> ShardId {
-        ShardId(self.core.shard_of_event(event))
-    }
-
-    fn lookahead(&self) -> SimDuration {
-        self.core.replica_lookahead()
     }
 }

@@ -57,17 +57,10 @@ pub use obs::{
     SnapshotRecord, SolveRecord, TimeSeries, TraceRecord,
 };
 pub use perf::{
-    AllocStats, HostMeta, HostProfile, KindRecord, ParallelPerf, PerfArtifact, QueueStats,
-    PERF_SCHEMA_VERSION,
+    AllocStats, HostMeta, HostProfile, KindRecord, PerfArtifact, QueueStats, PERF_SCHEMA_VERSION,
 };
 pub use policy::NotInNetwork;
-pub use runner::{
-    run, run_all_schemes, run_observed, run_observed_sharded, run_observed_sharded_parallel,
-    run_seeds, run_seeds_sharded, run_sharded, run_sharded_parallel, ParallelOptions, RunOutput,
-};
+pub use runner::{run, run_all_schemes, run_observed, run_seeds, RunOutput};
 pub use server::ServerToken;
-pub use stats::{LatencyBreakdown, MeanStats, ParallelStats, RunStats, RwStats};
-pub use sweep::{
-    run_grid, run_grid_with_cell_threads, run_sweep, run_sweep_with_cell_threads, SweepCell,
-    SweepJob, SweepReport, SWEEP_SCHEMA_VERSION,
-};
+pub use stats::{LatencyBreakdown, MeanStats, RunStats, RwStats};
+pub use sweep::{run_grid, run_sweep, SweepCell, SweepJob, SweepReport, SWEEP_SCHEMA_VERSION};

@@ -263,55 +263,6 @@ impl Deserialize for AllocStats {
     }
 }
 
-/// Window-driver shape of one parallel sharded run — the
-/// `sharded-parallel` suite's extra columns. Unlike [`QueueStats`] these
-/// mix schedule facts (shards, windows, events/window) with wall-clock
-/// facts (threads, busy imbalance), which is why they live in the perf
-/// artifact and never in `RunStats`.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct ParallelPerf {
-    /// Event shards the run was partitioned into (after pod clamping).
-    pub shards: u32,
-    /// Worker threads that drained the shards (clamped to the shard
-    /// count).
-    pub threads: u32,
-    /// Conservative lookahead windows the driver executed.
-    pub windows: u64,
-    /// Mean events drained per window across all shards.
-    pub events_per_window: f64,
-    /// Max/mean per-shard busy wall-time — 1.0 is a perfectly balanced
-    /// drain, higher means idle workers at the barrier.
-    pub busy_imbalance: f64,
-}
-
-impl Serialize for ParallelPerf {
-    fn ser(&self) -> Value {
-        Value::Obj(vec![
-            ("shards".into(), Value::U(u128::from(self.shards))),
-            ("threads".into(), Value::U(u128::from(self.threads))),
-            ("windows".into(), Value::U(u128::from(self.windows))),
-            ("events_per_window".into(), Value::F(self.events_per_window)),
-            ("busy_imbalance".into(), Value::F(self.busy_imbalance)),
-        ])
-    }
-}
-
-impl Deserialize for ParallelPerf {
-    fn deser(v: &Value) -> Result<Self, DeError> {
-        let entries = v
-            .as_obj()
-            .ok_or_else(|| DeError::custom("expected object for ParallelPerf"))?;
-        let f = |name: &str| serde::field(entries, name, "ParallelPerf");
-        Ok(ParallelPerf {
-            shards: f("shards").and_then(u32::deser)?,
-            threads: f("threads").and_then(u32::deser)?,
-            windows: f("windows").and_then(u64::deser)?,
-            events_per_window: f("events_per_window").and_then(f64::deser)?,
-            busy_imbalance: f("busy_imbalance").and_then(f64::deser)?,
-        })
-    }
-}
-
 /// One row of the per-event-kind attribution table.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct KindRecord {
@@ -392,9 +343,6 @@ pub struct HostProfile {
     /// Allocation counters; absent when the counting allocator was not
     /// registered.
     pub alloc: Option<AllocStats>,
-    /// Window-driver shape; present only on `sharded-parallel` suite
-    /// rows.
-    pub parallel: Option<ParallelPerf>,
     /// Per-event-kind attribution, [`EV_KINDS`] order, zero-count kinds
     /// included (empty in upgraded legacy runs).
     pub kinds: Vec<KindRecord>,
@@ -456,7 +404,6 @@ impl HostProfile {
             host: HostMeta::unknown(),
             queue: QueueStats::default(),
             alloc: None,
-            parallel: None,
             kinds: Vec::new(),
         }
     }
@@ -488,9 +435,6 @@ impl Serialize for HostProfile {
         if let Some(alloc) = &self.alloc {
             o.push(("alloc".into(), alloc.ser()));
         }
-        if let Some(parallel) = &self.parallel {
-            o.push(("parallel".into(), parallel.ser()));
-        }
         o.push(("kinds".into(), self.kinds.ser()));
         Value::Obj(o)
     }
@@ -518,10 +462,6 @@ impl Deserialize for HostProfile {
             queue: f("queue").and_then(QueueStats::deser)?,
             alloc: match v.get("alloc") {
                 Some(alloc) => Some(AllocStats::deser(alloc)?),
-                None => None,
-            },
-            parallel: match v.get("parallel") {
-                Some(parallel) => Some(ParallelPerf::deser(parallel)?),
                 None => None,
             },
             kinds: f("kinds").and_then(Vec::<KindRecord>::deser)?,
@@ -637,7 +577,6 @@ mod tests {
                 depth_hist: vec![1, 2, 4, 8],
             },
             alloc: None,
-            parallel: None,
             kinds: vec![
                 KindRecord {
                     kind: "Generate".into(),
@@ -678,23 +617,23 @@ mod tests {
     }
 
     #[test]
-    fn host_profile_round_trips_parallel_block_and_omits_it_when_absent() {
-        let p = profile();
-        let line = serde_json::to_string(&p).unwrap();
+    fn artifact_runs_with_a_parallel_block_still_parse_and_drop_it() {
+        // Artifacts recorded while the intra-run sharded engine existed
+        // carry a per-run `parallel` block; it parses and is ignored.
+        let line = serde_json::to_string(&profile()).unwrap();
         assert!(!line.contains("parallel"), "{line}");
-
-        let mut with_parallel = p;
-        with_parallel.parallel = Some(ParallelPerf {
-            shards: 4,
-            threads: 2,
-            windows: 4_882,
-            events_per_window: 1.65,
-            busy_imbalance: 1.29,
-        });
-        let line = serde_json::to_string(&with_parallel).unwrap();
-        assert!(line.contains("\"parallel\""), "{line}");
-        let back: HostProfile = serde_json::from_str(&line).unwrap();
-        assert_eq!(back, with_parallel);
+        let legacy = line.replacen(
+            "\"kinds\":",
+            "\"parallel\":{\"shards\":4,\"threads\":2,\"windows\":4882,\
+             \"events_per_window\":1.65,\"busy_imbalance\":1.29},\"kinds\":",
+            1,
+        );
+        assert!(legacy.contains("\"parallel\""), "{legacy}");
+        let text = format!("{{\"schema_version\":1,\"runs\":[{legacy}]}}");
+        let v: Value = serde_json::from_str(&text).unwrap();
+        let art = PerfArtifact::from_value(&v).unwrap();
+        assert_eq!(art.runs, vec![profile()]);
+        assert!(!serde_json::to_string(&art).unwrap().contains("parallel"));
     }
 
     #[test]

@@ -99,7 +99,6 @@ impl CliRsPolicy {
         }
         state.copies += 1;
         let issued_at = state.sent_at;
-        let rgid = state.rgid;
         self.selectors[client_idx].on_send(server, now);
         // Client-side selection has no steering hop: the interval from
         // issue to departure (rate gating, duplicate timers) is the
@@ -107,9 +106,6 @@ impl CliRsPolicy {
         let token = ServerToken::new(
             req,
             server,
-            client_idx as u32,
-            rgid,
-            false,
             issued_at,
             issued_at,
             SimDuration::ZERO,

@@ -246,18 +246,7 @@ impl InNetwork {
                 // Degraded Replica Selection: straight to the backup.
                 state.copies += 1;
                 let backup = state.backup;
-                let token = ServerToken::new(
-                    req,
-                    backup,
-                    state.client,
-                    state.rgid,
-                    false,
-                    now,
-                    now,
-                    SimDuration::ZERO,
-                    now,
-                    None,
-                );
+                let token = ServerToken::new(req, backup, now, now, SimDuration::ZERO, now, None);
                 let hash = flow_hash(req, 7);
                 let Some(latency) = core.fabric.try_host_to_host(
                     client_host,
@@ -380,18 +369,8 @@ impl InNetwork {
                     let state = core.requests.get_mut(req.0).expect("present above");
                     state.copies += 1;
                     let origin = entry.origin;
-                    let token = ServerToken::new(
-                        req,
-                        origin,
-                        client,
-                        state.rgid,
-                        false,
-                        sent_at,
-                        now,
-                        SimDuration::ZERO,
-                        now,
-                        None,
-                    );
+                    let token =
+                        ServerToken::new(req, origin, sent_at, now, SimDuration::ZERO, now, None);
                     let hash = flow_hash(req, 23);
                     let client_host = core.clients[client as usize].host;
                     let Some(latency) = core.fabric.try_switch_to_host(op, client_host, hash)
@@ -455,9 +434,6 @@ impl InNetwork {
         let token = ServerToken::new(
             req,
             backup,
-            state.client,
-            state.rgid,
-            false,
             state.sent_at,
             now,
             SimDuration::ZERO,
@@ -523,18 +499,7 @@ impl InNetwork {
         operator.selector.on_send(target, now);
         state.primary = Some(target);
         state.copies += 1;
-        let token = ServerToken::new(
-            req,
-            target,
-            state.client,
-            state.rgid,
-            false,
-            state.sent_at,
-            arrived,
-            waited,
-            now,
-            Some(op),
-        );
+        let token = ServerToken::new(req, target, state.sent_at, arrived, waited, now, Some(op));
         let hash = flow_hash(req, 17);
         let Some(latency) =
             core.fabric

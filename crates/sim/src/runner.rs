@@ -5,15 +5,14 @@ use std::time::{Duration, Instant};
 
 use netrs_simcore::{
     DeviceProbe, DeviceStatsRegistry, Engine, EngineProfile, NoDeviceProbe, NoProbe, PerfProbe,
-    PerfReport, Probe, ShardedEngine,
+    PerfReport, Probe,
 };
 
 use crate::cluster::Cluster;
 use crate::config::{Scheme, SimConfig};
 use crate::obs::{DeviceStatsReport, ObsOptions, TimeSeries};
 use crate::perf::{self, AllocStats, HostMeta, HostProfile, QueueStats, PERF_SCHEMA_VERSION};
-use crate::stats::{ParallelStats, RunStats};
-use netrs_simcore::ParallelShardedEngine;
+use crate::stats::RunStats;
 
 /// Everything an observed run produces.
 #[derive(Debug)]
@@ -28,10 +27,6 @@ pub struct RunOutput {
     pub devices: Option<DeviceStatsReport>,
     /// The host-performance profile, if [`ObsOptions::perf`] was set.
     pub perf: Option<HostProfile>,
-    /// Per-shard busy wall-time (ns) from the replica engine's worker
-    /// pool; `None` on every other path. Wall-clock data — never folded
-    /// into [`RunStats`].
-    pub busy_ns: Option<Vec<u64>>,
 }
 
 /// Runs one configuration to completion and returns its statistics.
@@ -150,391 +145,9 @@ fn run_engine<D: DeviceProbe, P: Probe>(
             timeseries,
             devices,
             perf: None,
-            busy_ns: None,
         },
         probe,
     )
-}
-
-/// Runs one configuration on the sharded engine
-/// ([`ShardedEngine`]): the world is partitioned into `shards` event
-/// shards (clamped to the topology's pod count) driven in conservative
-/// lookahead windows with cross-shard events routed through the
-/// boundary mailbox. With `shards == 1` the result is byte-identical to
-/// [`run`]; with more shards it is deterministic per seed but orders
-/// same-window events differently.
-///
-/// # Panics
-///
-/// Panics if the configuration is invalid (see [`SimConfig::validate`]).
-#[must_use]
-pub fn run_sharded(cfg: SimConfig, shards: u32) -> RunStats {
-    run_observed_sharded(cfg, shards, ObsOptions::default()).stats
-}
-
-/// [`run_sharded`] with observability attached; the sharded counterpart
-/// of [`run_observed`]. With default options this is exactly
-/// [`run_sharded`].
-///
-/// # Panics
-///
-/// Panics if the configuration is invalid (see [`SimConfig::validate`]).
-#[must_use]
-pub fn run_observed_sharded(cfg: SimConfig, shards: u32, obs: ObsOptions) -> RunOutput {
-    if obs.device_stats {
-        run_observed_sharded_with(cfg, shards, obs, DeviceStatsRegistry::default())
-    } else {
-        run_observed_sharded_with(cfg, shards, obs, NoDeviceProbe)
-    }
-}
-
-fn run_observed_sharded_with<D: DeviceProbe>(
-    cfg: SimConfig,
-    shards: u32,
-    mut obs: ObsOptions,
-    devices: D,
-) -> RunOutput {
-    match obs.perf.take() {
-        Some(popt) => {
-            let scheme = cfg.scheme;
-            let seed = cfg.seed;
-            let requests = cfg.requests;
-            let alloc_before = alloc_mark();
-            let probe = PerfProbe::new(perf::kind_names(), popt.stride);
-            let (mut out, probe) = run_engine_sharded(cfg, shards, obs, devices, probe);
-            out.perf = Some(host_profile(
-                scheme,
-                seed,
-                requests,
-                &out.profile,
-                &probe.report(),
-                alloc_since(alloc_before),
-            ));
-            out
-        }
-        None => run_engine_sharded(cfg, shards, obs, devices, NoProbe).0,
-    }
-}
-
-fn run_engine_sharded<D: DeviceProbe, P: Probe>(
-    cfg: SimConfig,
-    shards: u32,
-    obs: ObsOptions,
-    devices: D,
-    probe: P,
-) -> (RunOutput, P) {
-    let total_requests = cfg.requests;
-    let mut cluster = Cluster::with_shards(cfg, shards, devices);
-    if let Some(w) = obs.trace {
-        cluster.set_tracer(w);
-    }
-    if let Some(spec) = obs.timeseries {
-        cluster.enable_sampler(spec);
-    }
-    if obs.trace_hops {
-        cluster.enable_hop_tracing();
-    }
-    if let Some(w) = obs.control {
-        cluster.set_control(w);
-    }
-    let mut engine = ShardedEngine::with_probe(cluster, probe);
-    engine.prime_with(|world, queue| world.prime(queue));
-    if obs.progress {
-        run_sharded_with_heartbeat(&mut engine, total_requests);
-    } else {
-        engine.run();
-    }
-    let profile = engine.profile();
-    let now = engine.now();
-    let events = engine.processed();
-    let window_block = (engine.num_shards() > 1).then(|| ParallelStats {
-        shards: engine.num_shards(),
-        windows: engine.windows(),
-        mailbox_posted: engine.mailbox_posted(),
-        mailbox_late: engine.mailbox_late(),
-    });
-    let (mut cluster, probe) = engine.into_parts();
-    debug_assert!(cluster.drained(), "simulation ended with work outstanding");
-    cluster.flush_tracer();
-    cluster.flush_control(now);
-    let timeseries = cluster.take_timeseries();
-    let devices = cluster.take_device_report(now);
-    let mut stats = cluster.stats(now, events);
-    stats.parallel = window_block;
-    (
-        RunOutput {
-            stats,
-            profile,
-            timeseries,
-            devices,
-            perf: None,
-            busy_ns: None,
-        },
-        probe,
-    )
-}
-
-/// Options for truly parallel sharded execution
-/// ([`run_observed_sharded_parallel`]).
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct ParallelOptions {
-    /// Worker threads draining shards concurrently (clamped to the shard
-    /// count; 1 executes the identical schedule on the calling thread).
-    pub threads: usize,
-    /// Conservative-window width in link latencies (default 1, the
-    /// provably safe lookahead; wider windows mean fewer barriers but
-    /// may clamp late cross-shard events, counted as `mailbox_late`).
-    pub lookahead_mult: u32,
-}
-
-impl Default for ParallelOptions {
-    fn default() -> Self {
-        ParallelOptions {
-            threads: 1,
-            lookahead_mult: 1,
-        }
-    }
-}
-
-/// [`run_sharded`] with a real worker pool: shards drain concurrently on
-/// `threads` threads under the conservative-window protocol, and the
-/// deterministic merge makes the output independent of the thread count.
-///
-/// # Panics
-///
-/// Panics if the configuration is invalid (see [`SimConfig::validate`]).
-#[must_use]
-pub fn run_sharded_parallel(cfg: SimConfig, shards: u32, threads: usize) -> RunStats {
-    run_observed_sharded_parallel(
-        cfg,
-        shards,
-        ParallelOptions {
-            threads,
-            ..ParallelOptions::default()
-        },
-        ObsOptions::default(),
-    )
-    .stats
-}
-
-/// Whether a run can execute as per-shard SPMD replicas: every flow must
-/// stay shard-local (token-routed replies), which holds for the
-/// client-side schemes without cross-cutting machinery. In-network
-/// schemes mutate operator state across pods and fall back to the
-/// sequential windowed engine (where the thread count is simply unused,
-/// so thread-count byte-identity holds trivially).
-fn replica_eligible(cfg: &SimConfig, obs: &ObsOptions) -> bool {
-    !cfg.scheme.is_in_network()
-        && cfg.faults.as_ref().is_none_or(|p| !p.is_active())
-        && cfg.hot_cache.is_none()
-        && !obs.device_stats
-        && !obs.trace_hops
-        && obs.timeseries.is_none()
-        && obs.perf.is_none()
-}
-
-/// [`run_observed_sharded`] with a worker pool. Runs eligible
-/// configurations on the replica engine ([`ParallelShardedEngine`]);
-/// everything else — in-network schemes, fault plans, device/sampler/perf
-/// instrumentation — falls back to the sequential windowed engine with
-/// `par.threads` ignored. Either way the output is byte-identical across
-/// thread counts.
-///
-/// # Panics
-///
-/// Panics if the configuration is invalid (see [`SimConfig::validate`]).
-#[must_use]
-pub fn run_observed_sharded_parallel(
-    cfg: SimConfig,
-    shards: u32,
-    par: ParallelOptions,
-    obs: ObsOptions,
-) -> RunOutput {
-    if shards <= 1 {
-        // One shard is the sequential engine's domain (and pinned
-        // byte-identical to it).
-        return run_observed(cfg, obs);
-    }
-    if !replica_eligible(&cfg, &obs) {
-        return run_observed_sharded(cfg, shards, obs);
-    }
-    // Placement is deterministic per config, so one throwaway replica
-    // answers the coverage question for all of them.
-    let probe: Cluster = Cluster::with_shards(cfg.clone(), shards, NoDeviceProbe);
-    if !probe.replica_coverage_ok() {
-        return run_observed_sharded(cfg, shards, obs);
-    }
-    drop(probe);
-    run_replicated(cfg, shards, par, obs)
-}
-
-/// The replica-engine run: N SPMD [`Cluster`] replicas (one per shard)
-/// under the barrier/merge window driver, then the deterministic fold of
-/// per-replica results (counters, histograms, owned servers, buffered
-/// trace lines) into replica 0.
-fn run_replicated(
-    cfg: SimConfig,
-    shards: u32,
-    par: ParallelOptions,
-    mut obs: ObsOptions,
-) -> RunOutput {
-    let started = Instant::now();
-    // Requests split across shards in proportion to their generator
-    // counts (generators round-robin to shards; shards without a
-    // generator issue nothing), remainders to the lowest shards.
-    let quotas = replica_quotas(cfg.requests, cfg.generators, shards);
-    let mut worlds: Vec<Cluster> = Vec::with_capacity(shards as usize);
-    for r in 0..shards {
-        let mut cl: Cluster = Cluster::with_shards(cfg.clone(), shards, NoDeviceProbe);
-        cl.enable_replica(r, quotas[r as usize], par.lookahead_mult);
-        if obs.trace.is_some() {
-            cl.buffer_trace();
-        }
-        worlds.push(cl);
-    }
-    if let Some(w) = obs.control.take() {
-        // Eligible runs emit no mid-run control records; the end-of-run
-        // flush happens on replica 0 after the merge.
-        worlds[0].set_control(w);
-    }
-    let mut engine = ParallelShardedEngine::new(worlds, par.threads);
-    engine.prime_each(|_, world, queue| world.prime(queue));
-    engine.run();
-    let wstats = engine.stats();
-    let busy = engine.busy_ns();
-    let now = engine.now();
-    let threads = engine.threads();
-    let mut rest = engine.into_worlds();
-    let mut first = rest.remove(0);
-    debug_assert!(
-        first.drained() && rest.iter().all(Cluster::drained),
-        "replica ended with work outstanding"
-    );
-    if let Some(mut sink) = obs.trace.take() {
-        use std::io::Write as _;
-        // Canonical trace order: (receive time, shard), with each
-        // shard's own processing order preserved by the stable sort —
-        // the same total order however many threads drained the shards.
-        let mut lines: Vec<(u64, u32, String)> = first
-            .take_trace_buf()
-            .into_iter()
-            .map(|(t, l)| (t, 0, l))
-            .collect();
-        for (i, w) in rest.iter_mut().enumerate() {
-            lines.extend(
-                w.take_trace_buf()
-                    .into_iter()
-                    .map(|(t, l)| (t, i as u32 + 1, l)),
-            );
-        }
-        lines.sort_by_key(|l| (l.0, l.1));
-        for (_, _, l) in &lines {
-            let _ = writeln!(sink, "{l}");
-        }
-        let _ = sink.flush();
-    }
-    for other in rest.iter_mut() {
-        first.absorb_replica(other);
-    }
-    first.flush_control(now);
-    let events = wstats.processed;
-    let mut stats = first.stats(now, events);
-    stats.parallel = Some(ParallelStats {
-        shards,
-        windows: wstats.windows,
-        mailbox_posted: wstats.mailbox_posted,
-        mailbox_late: wstats.mailbox_late,
-    });
-    if obs.progress {
-        // The end-of-run heartbeat: the intra-run parallelism diagnosis
-        // (windows, batch size, late posts, busy-time imbalance).
-        let busy_max = busy.iter().copied().max().unwrap_or(0) as f64;
-        let busy_mean = busy.iter().copied().sum::<u64>() as f64 / busy.len().max(1) as f64;
-        let imbalance = if busy_mean > 0.0 {
-            busy_max / busy_mean
-        } else {
-            0.0
-        };
-        let wall = started.elapsed().as_secs_f64();
-        eprintln!(
-            "[simulate] parallel run: {} shards × {} threads · {} events in {:.2}s \
-             ({:.0}/s) · {} windows ({:.1} events/window) · {} mailbox posts / {} late · \
-             busy imbalance {:.2}× · peak RSS {} kB",
-            shards,
-            threads,
-            events,
-            wall,
-            events as f64 / wall.max(1e-9),
-            wstats.windows,
-            wstats.events_per_window(),
-            wstats.mailbox_posted,
-            wstats.mailbox_late,
-            imbalance,
-            netrs_simcore::peak_rss_kb(),
-        );
-    }
-    let profile = EngineProfile::capture(events, 0, 0, 0, started);
-    RunOutput {
-        stats,
-        profile,
-        timeseries: None,
-        devices: None,
-        perf: None,
-        busy_ns: Some(busy),
-    }
-}
-
-/// Splits `requests` across `shards` in proportion to each shard's
-/// generator count, distributing the remainder to the lowest generator-
-/// bearing shards so the quotas sum exactly to `requests`.
-fn replica_quotas(requests: u64, generators: u32, shards: u32) -> Vec<u64> {
-    let g_total = u64::from(generators);
-    let gens_of = |r: u32| u64::from(generators / shards + u32::from(r < generators % shards));
-    let mut quotas: Vec<u64> = (0..shards)
-        .map(|r| requests * gens_of(r) / g_total)
-        .collect();
-    let mut rem = requests - quotas.iter().sum::<u64>();
-    let mut r = 0usize;
-    while rem > 0 {
-        if gens_of(r as u32) > 0 {
-            quotas[r] += 1;
-            rem -= 1;
-        }
-        r = (r + 1) % shards as usize;
-    }
-    quotas
-}
-
-/// Drains the sharded engine window by window while printing a
-/// once-per-second progress line to stderr (the sharded counterpart of
-/// [`run_with_heartbeat`]; granularity is one lookahead window).
-fn run_sharded_with_heartbeat<D: DeviceProbe, P: Probe>(
-    engine: &mut ShardedEngine<Cluster<D>, P>,
-    total_requests: u64,
-) {
-    let start = Instant::now();
-    let mut last_beat = Instant::now();
-    while engine.advance_window() {
-        if last_beat.elapsed() >= Duration::from_secs(1) {
-            last_beat = Instant::now();
-            let rate = engine.processed() as f64 / start.elapsed().as_secs_f64().max(1e-9);
-            eprintln!(
-                "[simulate] issued {}/{} · completed {} · sim {} · {} events ({:.0}/s) · \
-                 {} shards · {} windows ({} mailbox posts / {} late) · peak RSS {} kB",
-                engine.world().issued(),
-                total_requests,
-                engine.world().completed(),
-                engine.now(),
-                engine.processed(),
-                rate,
-                engine.num_shards(),
-                engine.windows(),
-                engine.mailbox_posted(),
-                engine.mailbox_late(),
-                netrs_simcore::peak_rss_kb(),
-            );
-        }
-    }
 }
 
 /// Assembles the versioned run profile from the engine's
@@ -567,7 +180,6 @@ fn host_profile(
             depth_hist: HostProfile::trim_depth_hist(&report.depth_hist),
         },
         alloc,
-        parallel: None,
         kinds: HostProfile::kinds_from_report(report),
     }
 }
@@ -657,24 +269,12 @@ fn run_with_heartbeat<D: DeviceProbe, P: Probe>(
 /// ([`crate::sweep::run_grid`]). Results come back in `seeds` order.
 #[must_use]
 pub fn run_seeds(cfg: &SimConfig, seeds: &[u64]) -> Vec<RunStats> {
-    seed_grid(cfg, 1, seeds)
-}
-
-/// [`run_seeds`] on the sharded engine: the same per-seed fan-out with
-/// every run partitioned into `shards` event shards.
-#[must_use]
-pub fn run_seeds_sharded(cfg: &SimConfig, shards: u32, seeds: &[u64]) -> Vec<RunStats> {
-    seed_grid(cfg, shards, seeds)
-}
-
-fn seed_grid(cfg: &SimConfig, shards: u32, seeds: &[u64]) -> Vec<RunStats> {
     let jobs: Vec<crate::sweep::SweepJob> = seeds
         .iter()
         .map(|&seed| crate::sweep::SweepJob {
             label: cfg.scheme.label().into(),
             cfg: cfg.clone(),
             seed,
-            shards,
         })
         .collect();
     crate::sweep::run_grid(&jobs, 0)

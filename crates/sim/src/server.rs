@@ -25,16 +25,6 @@ use crate::fabric::Fabric;
 pub struct ServerToken {
     pub(crate) req: ReqId,
     pub(crate) server: ServerId,
-    /// Index of the issuing client. Carried on the token so reply
-    /// routing needs no request-table lookup at the server's side —
-    /// which is what lets replica-mode shards route replies home
-    /// without sharing the request table.
-    pub(crate) client: u32,
-    /// The request's replication group (chain writes walk it without a
-    /// request-table lookup).
-    pub(crate) rgid: u32,
-    /// Whether the copy belongs to a write.
-    pub(crate) is_write: bool,
     /// When this copy left its last sender (client or selector).
     pub(crate) copy_sent_at: SimTime,
     /// The RSNode the copy passed, if any, and when it left it.
@@ -59,13 +49,9 @@ impl ServerToken {
     /// A token whose timeline starts at `issued_at` and whose selection
     /// interval is `[steered_at, copy_sent_at]`; the server-side
     /// timestamps are stamped as the copy progresses.
-    #[allow(clippy::too_many_arguments)]
     pub(crate) fn new(
         req: ReqId,
         server: ServerId,
-        client: u32,
-        rgid: u32,
-        is_write: bool,
         issued_at: SimTime,
         steered_at: SimTime,
         selection_wait: SimDuration,
@@ -75,9 +61,6 @@ impl ServerToken {
         ServerToken {
             req,
             server,
-            client,
-            rgid,
-            is_write,
             copy_sent_at,
             rsnode,
             rsnode_sent_at: copy_sent_at,
@@ -246,15 +229,6 @@ impl ServerPool {
             return true;
         }
         false
-    }
-
-    /// Adopts server `idx` from another pool (parallel replica merge:
-    /// the other pool is the replica on which that server's queue and
-    /// busy time actually advanced).
-    pub(crate) fn adopt(&mut self, other: &mut ServerPool, idx: usize) {
-        std::mem::swap(&mut self.servers[idx], &mut other.servers[idx]);
-        std::mem::swap(&mut self.ghosts[idx], &mut other.ghosts[idx]);
-        std::mem::swap(&mut self.crash_at[idx], &mut other.crash_at[idx]);
     }
 
     /// Mean instantaneous slot occupancy across servers.

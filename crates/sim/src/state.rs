@@ -96,13 +96,6 @@ impl BreakdownHists {
         }
     }
 
-    fn merge(&mut self, other: &BreakdownHists) {
-        self.network.merge(&other.network);
-        self.selection.merge(&other.selection);
-        self.server_queue.merge(&other.server_queue);
-        self.service.merge(&other.service);
-    }
-
     fn summarize(&self) -> LatencyBreakdown {
         LatencyBreakdown {
             count: self.network.count(),
@@ -243,17 +236,9 @@ pub(crate) struct Core<D: DeviceProbe> {
     /// Per-key committed version counters, bumped at write issue. The
     /// store's ground truth for cache stale checks.
     pub(crate) versions: VersionTable,
-    /// Per-shard workload streams (`root.fork(2).split(s, shards)`);
-    /// generator `g` draws from stream `g % shards`. At `shards == 1`
-    /// this is the single pre-shard stream, byte-identical draws.
-    workload: Vec<SimRng>,
-    /// Event shards the world is partitioned into (`>= 1`). Pods map to
-    /// shards round-robin (`pod % shards`).
-    shards: u32,
-    /// Home shard of every host (its pod, modulo the shard count).
-    host_shard: Vec<u32>,
-    /// Home shard of every switch; core switches (no pod) go to shard 0.
-    switch_shard: Vec<u32>,
+    /// The workload stream (`root.fork(2)`) every generator draws its
+    /// gaps, clients, keys and read/write coin flips from.
+    workload: SimRng,
     gen_interarrival: SimDuration,
     pub(crate) top_clients: u32,
     breakdown: BreakdownHists,
@@ -265,52 +250,14 @@ pub(crate) struct Core<D: DeviceProbe> {
     /// Fault-injection runtime; `None` unless an active fault plan was
     /// configured.
     pub(crate) faults: Option<FaultRuntime>,
-    /// SPMD replica mode (parallel execution, DESIGN.md §13): when
-    /// `Some`, this `Core` is one of N structurally identical replicas
-    /// and only handles events homed on `ReplicaMode::shard`. Its
-    /// generators issue strided request ids (`shard + k·shards`) against
-    /// a per-shard quota, its clients are the shard-local subset, and
-    /// reply routing runs off the token (no cross-replica request-table
-    /// reads). `None` is the ordinary single-world mode.
-    replica: Option<ReplicaMode>,
-    /// Trace lines buffered for the post-run deterministic merge instead
-    /// of being written inline (replica mode only).
-    trace_buf: Option<Vec<(u64, String)>>,
-}
-
-/// Per-replica identity and workload split for parallel execution.
-struct ReplicaMode {
-    shard: u32,
-    /// How many requests this replica's generators issue in total.
-    quota: u64,
-    /// Ascending indices of the clients homed on this shard.
-    clients: Vec<u32>,
-    /// Length of the `clients` prefix that are skew "top" clients
-    /// (global top clients are `0..top_clients`, so the shard-local top
-    /// set is always a prefix of the ascending `clients` list).
-    top: u32,
-    /// Conservative-window width in link latencies (default 1).
-    lookahead_mult: u32,
 }
 
 impl<D: DeviceProbe> Core<D> {
     /// Builds the scheme-independent state for a validated, finalized
     /// configuration. Placement, ring, server and client RNG streams are
     /// pure forks of `root`, so construction order never matters.
-    pub(crate) fn new(cfg: SimConfig, devices: D, root: &SimRng, shards: u32) -> Self {
+    pub(crate) fn new(cfg: SimConfig, devices: D, root: &SimRng) -> Self {
         let topo = FatTree::new(cfg.arity).expect("validated arity");
-
-        // Pod-granular shard maps: a pod's hosts and switches share a
-        // shard, so intra-pod hops never cross the mailbox. Requests for
-        // more shards than pods are clamped (extra shards would sit
-        // empty except for round-robined generators).
-        let shards = shards.clamp(1, topo.num_pods());
-        let host_shard: Vec<u32> = (0..topo.num_hosts())
-            .map(|h| topo.pod_of_host(HostId(h)) % shards)
-            .collect();
-        let switch_shard: Vec<u32> = (0..topo.num_switches())
-            .map(|s| topo.pod_of_switch(SwitchId(s)).map_or(0, |p| p % shards))
-            .collect();
 
         // Random non-overlapping placement of servers and clients
         // ("clients and servers are randomly deployed across end-hosts,
@@ -355,13 +302,7 @@ impl<D: DeviceProbe> Core<D> {
             gen_interarrival: SimDuration::from_secs_f64(
                 f64::from(cfg.generators) / cfg.arrival_rate(),
             ),
-            workload: {
-                let stream = root.fork(2);
-                (0..shards).map(|s| stream.split(s, shards)).collect()
-            },
-            shards,
-            host_shard,
-            switch_shard,
+            workload: root.fork(2),
             fabric: Fabric::new(topo, cfg.link_latency, devices),
             servers,
             ring,
@@ -385,114 +326,7 @@ impl<D: DeviceProbe> Core<D> {
             sampler: None,
             control: None,
             faults,
-            replica: None,
-            trace_buf: None,
             cfg,
-        }
-    }
-
-    // ---- replica mode (parallel execution) -------------------------------
-
-    /// Switches this core into SPMD replica mode for `shard`, issuing at
-    /// most `quota` requests locally. Construction is a pure fork tree of
-    /// the seed, so every replica starts bit-identical; from here on only
-    /// this shard's entities evolve.
-    pub(crate) fn enable_replica(&mut self, shard: u32, quota: u64, lookahead_mult: u32) {
-        let clients: Vec<u32> = (0..self.cfg.clients)
-            .filter(|&c| self.client_shard(c) == shard)
-            .collect();
-        let top = clients.partition_point(|&c| c < self.top_clients) as u32;
-        self.replica = Some(ReplicaMode {
-            shard,
-            quota,
-            clients,
-            top,
-            lookahead_mult: lookahead_mult.max(1),
-        });
-    }
-
-    /// Conservative window width for replica-mode runs: the configured
-    /// lookahead multiple of one link latency (1× is provably safe;
-    /// wider windows trade exactness for fewer barriers, with
-    /// violations clamped and counted as `mailbox_late`).
-    pub(crate) fn replica_lookahead(&self) -> SimDuration {
-        let mult = self.replica.as_ref().map_or(1, |r| r.lookahead_mult);
-        SimDuration::from_nanos(self.cfg.link_latency.as_nanos() * u64::from(mult))
-    }
-
-    /// Whether every shard that hosts a generator also hosts at least one
-    /// client (and, under demand skew, both a top and a non-top client),
-    /// so the per-shard workload split can reproduce the global client
-    /// distribution. Placement is deterministic per config, so checking
-    /// one replica answers for all of them.
-    pub(crate) fn replica_coverage_ok(&self) -> bool {
-        let s = self.shards;
-        let mut has_gen = vec![false; s as usize];
-        for g in 0..self.cfg.generators {
-            has_gen[(g % s) as usize] = true;
-        }
-        for r in 0..s {
-            if !has_gen[r as usize] {
-                continue;
-            }
-            let clients: Vec<u32> = (0..self.cfg.clients)
-                .filter(|&c| self.client_shard(c) == r)
-                .collect();
-            if clients.is_empty() {
-                return false;
-            }
-            if self.cfg.demand_skew.is_some() {
-                let top = clients.partition_point(|&c| c < self.top_clients);
-                if top == 0 || top == clients.len() {
-                    return false;
-                }
-            }
-        }
-        true
-    }
-
-    /// Buffers trace records in memory (with their receive timestamps)
-    /// instead of writing them to the tracer sink, so the runner can merge
-    /// per-replica traces in canonical order after the run.
-    pub(crate) fn buffer_trace(&mut self) {
-        self.trace_buf = Some(Vec::new());
-    }
-
-    pub(crate) fn take_trace_buf(&mut self) -> Vec<(u64, String)> {
-        self.trace_buf.take().unwrap_or_default()
-    }
-
-    /// Folds another replica's results into this one (the post-run merge,
-    /// replica 0 absorbing shards 1..N). Counters and histograms sum;
-    /// the servers the other replica owns (whose queues and busy time
-    /// advanced only there) are adopted wholesale so fleet-wide
-    /// utilization and occupancy read correctly.
-    pub(crate) fn absorb_replica(&mut self, other: &mut Core<D>) {
-        self.issued += other.issued;
-        self.completed += other.completed;
-        self.duplicates += other.duplicates;
-        self.replans += other.replans;
-        self.overload_events += other.overload_events;
-        self.writes_issued += other.writes_issued;
-        self.writes_completed += other.writes_completed;
-        self.hist.merge(&other.hist);
-        self.write_hist.merge(&other.write_hist);
-        self.breakdown.merge(&other.breakdown);
-        let oshard = other.replica.as_ref().map_or(0, |r| r.shard);
-        for s in 0..self.cfg.servers {
-            if self.server_shard(ServerId(s)) == oshard {
-                self.servers.adopt(&mut other.servers, s as usize);
-            }
-        }
-        for &c in other
-            .replica
-            .as_ref()
-            .map(|r| r.clients.as_slice())
-            .unwrap_or(&[])
-        {
-            self.clients[c as usize]
-                .hist
-                .merge(&other.clients[c as usize].hist);
         }
     }
 
@@ -519,66 +353,6 @@ impl<D: DeviceProbe> Core<D> {
                 (c.host, rate)
             })
             .collect()
-    }
-
-    // ---- sharding --------------------------------------------------------
-
-    /// Number of event shards the world is partitioned into.
-    pub(crate) fn shards(&self) -> u32 {
-        self.shards
-    }
-
-    /// Home shard of `server` (its host's pod, modulo shard count).
-    fn server_shard(&self, s: ServerId) -> u32 {
-        self.host_shard[self.server_hosts[s.0 as usize].0 as usize]
-    }
-
-    /// Home shard of client `c`.
-    fn client_shard(&self, c: u32) -> u32 {
-        self.host_shard[self.clients[c as usize].host.0 as usize]
-    }
-
-    /// Home shard of the client that issued `req`. Terminal timers
-    /// (retry checks, R95 deadlines) can outlive the request's table
-    /// entry; those orphans go to shard 0 — any shard is correct for an
-    /// event whose handler is a no-op, and 0 is deterministic.
-    fn req_shard(&self, req: ReqId) -> u32 {
-        self.requests
-            .get(req.0)
-            .map_or(0, |r| self.client_shard(r.client))
-    }
-
-    /// Classifies an event to its home shard: the pod of the device
-    /// whose state its handler touches (DESIGN.md §13). Control-plane
-    /// events with cluster-wide scope live on shard 0.
-    pub(crate) fn shard_of_event(&self, ev: &Ev) -> u32 {
-        if self.shards <= 1 {
-            return 0;
-        }
-        if self.replica.is_some() {
-            // Replica mode: the emitting replica cannot consult the
-            // request table for events homed on another replica, so
-            // replies route by the client carried on the token.
-            if let Ev::ClientReceive { token, .. } = *ev {
-                return self.client_shard(token.client);
-            }
-        }
-        match *ev {
-            Ev::Generate { gen } => gen % self.shards,
-            Ev::GatedSend { req, .. } | Ev::R95Check { req } | Ev::RetryCheck { req, .. } => {
-                self.req_shard(req)
-            }
-            Ev::RsnodeArrive { op, .. }
-            | Ev::Select { op, .. }
-            | Ev::SelectorUpdate { op, .. }
-            | Ev::CacheInvalidate { op, .. } => self.switch_shard[op.0 as usize],
-            Ev::OperatorDetect { sw } => self.switch_shard[sw.0 as usize],
-            Ev::ServerArrive { token } => self.server_shard(token.server),
-            Ev::ServerDone { server, .. } => self.server_shard(server),
-            Ev::Fluctuate { server } => self.server_shard(server),
-            Ev::ClientReceive { token, .. } => self.req_shard(token.req),
-            Ev::OverloadCheck | Ev::Replan | Ev::Sample | Ev::Fault { .. } => 0,
-        }
     }
 
     // ---- observability ---------------------------------------------------
@@ -644,8 +418,7 @@ impl<D: DeviceProbe> Core<D> {
     /// control timers after this).
     pub(crate) fn prime_workload(&mut self, queue: &mut EventQueue<Ev>) {
         for gen in 0..self.cfg.generators {
-            let shard = (gen % self.shards) as usize;
-            let gap = self.workload[shard].exp_duration(self.gen_interarrival);
+            let gap = self.workload.exp_duration(self.gen_interarrival);
             queue.schedule_at(SimTime::ZERO + gap, Ev::Generate { gen });
         }
         for s in 0..self.cfg.servers {
@@ -678,26 +451,8 @@ impl<D: DeviceProbe> Core<D> {
 
     // ---- workload -------------------------------------------------------
 
-    fn pick_client(&mut self, shard: usize) -> u32 {
-        if let Some(r) = &self.replica {
-            // Draw from this shard's own clients (the ascending local
-            // list; its skew-top subset is the `..top` prefix). Same
-            // stream discipline as the global draw, restricted to the
-            // clients this replica owns.
-            let rng = &mut self.workload[shard];
-            return match self.cfg.demand_skew {
-                None => r.clients[rng.below(r.clients.len() as u64) as usize],
-                Some(s) => {
-                    if rng.chance(s) {
-                        r.clients[rng.below(u64::from(r.top)) as usize]
-                    } else {
-                        let rest = r.clients.len() as u64 - u64::from(r.top);
-                        r.clients[r.top as usize + rng.below(rest) as usize]
-                    }
-                }
-            };
-        }
-        let rng = &mut self.workload[shard];
+    fn pick_client(&mut self) -> u32 {
+        let rng = &mut self.workload;
         match self.cfg.demand_skew {
             None => rng.below(u64::from(self.cfg.clients)) as u32,
             Some(s) => {
@@ -722,30 +477,21 @@ impl<D: DeviceProbe> Core<D> {
         gen: u32,
         queue: &mut EventQueue<Ev>,
     ) -> GenOutcome {
-        let quota = self.replica.as_ref().map_or(self.cfg.requests, |r| r.quota);
-        if self.issued >= quota {
+        if self.issued >= self.cfg.requests {
             return GenOutcome::None; // workload exhausted: let the generator die out
         }
-        let shard = (gen % self.shards) as usize;
-        let gap = self.workload[shard].exp_duration(self.gen_interarrival);
+        let gap = self.workload.exp_duration(self.gen_interarrival);
         queue.schedule_after(gap, Ev::Generate { gen });
 
-        let client_idx = self.pick_client(shard);
-        let key = self.zipf.sample(&mut self.workload[shard]);
+        let client_idx = self.pick_client();
+        let key = self.zipf.sample(&mut self.workload);
         let rgid = self.ring.group_of_key(key);
         let replicas = self.ring.groups().replicas(rgid).to_vec();
         let backup = replicas[self.clients[client_idx as usize].rng.index(replicas.len())];
 
         let is_write =
-            self.cfg.write_fraction > 0.0 && self.workload[shard].chance(self.cfg.write_fraction);
-        // Replica mode strides request ids (`shard + k·shards`) so ids
-        // are globally unique without cross-replica coordination; the
-        // strided id doubles as the request's approximate global issue
-        // position for the warmup cutoff.
-        let req = match &self.replica {
-            Some(r) => ReqId(u64::from(r.shard) + self.issued * u64::from(self.shards)),
-            None => ReqId(self.issued),
-        };
+            self.cfg.write_fraction > 0.0 && self.workload.chance(self.cfg.write_fraction);
+        let req = ReqId(self.issued);
         self.requests.insert(
             req.0,
             RequestState {
@@ -804,21 +550,9 @@ impl<D: DeviceProbe> Core<D> {
         let state = self.requests.get_mut(req.0).expect("request just created");
         state.copies = replicas.len() as u8;
         let client_idx = state.client;
-        let rgid = state.rgid;
         let client_host = self.clients[client_idx as usize].host;
         for (i, &server) in replicas.iter().enumerate() {
-            let token = ServerToken::new(
-                req,
-                server,
-                client_idx,
-                rgid,
-                true,
-                now,
-                now,
-                SimDuration::ZERO,
-                now,
-                None,
-            );
+            let token = ServerToken::new(req, server, now, now, SimDuration::ZERO, now, None);
             let hash = flow_hash(req, 31 + i as u64);
             let Some(latency) = self.fabric.try_host_to_host(
                 client_host,
@@ -859,21 +593,14 @@ impl<D: DeviceProbe> Core<D> {
         if self.cfg.write_consistency != WriteConsistency::Chain {
             return false;
         }
-        // Replica mode runs at a server shard that has no view of the
-        // request table; the token carries the write flag, group, and
-        // issue time the chain hop needs.
-        let (is_write, rgid, client, sent_at) = if self.replica.is_some() {
-            (token.is_write, token.rgid, token.client, token.issued_at)
-        } else {
-            let Some(state) = self.requests.get(token.req.0) else {
-                return false;
-            };
-            (state.is_write, state.rgid, state.client, state.sent_at)
+        let Some(state) = self.requests.get(token.req.0) else {
+            return false;
         };
-        if !is_write {
+        if !state.is_write {
             return false;
         }
-        let replicas = self.ring.groups().replicas(rgid);
+        let sent_at = state.sent_at;
+        let replicas = self.ring.groups().replicas(state.rgid);
         let Some(idx) = replicas.iter().position(|&s| s == token.server) else {
             return false;
         };
@@ -882,18 +609,7 @@ impl<D: DeviceProbe> Core<D> {
         }
         let next = replicas[idx + 1];
         let req = token.req;
-        let chain_token = ServerToken::new(
-            req,
-            next,
-            client,
-            rgid,
-            true,
-            sent_at,
-            now,
-            SimDuration::ZERO,
-            now,
-            None,
-        );
+        let chain_token = ServerToken::new(req, next, sent_at, now, SimDuration::ZERO, now, None);
         let hash = flow_hash(req, 31 + (idx + 1) as u64);
         let from_host = self.server_hosts[token.server.0 as usize];
         let next_host = self.server_hosts[next.0 as usize];
@@ -950,10 +666,7 @@ impl<D: DeviceProbe> Core<D> {
         let status = self
             .servers
             .finish_service(now, server_id, token, &mut self.fabric, queue);
-        // Replica mode: the request lives on the issuing client's
-        // replica, not here; eligibility excludes faults, so it is
-        // always still live and the liveness probe must be skipped.
-        if self.replica.is_none() && !self.requests.contains(token.req.0) {
+        if !self.requests.contains(token.req.0) {
             // The request was resolved without this copy (fault runs:
             // abandoned after timing out). The reply has nowhere to go.
             if let Some(f) = &mut self.faults {
@@ -982,17 +695,10 @@ impl<D: DeviceProbe> Core<D> {
         status: ServerStatus,
         queue: &mut EventQueue<Ev>,
     ) {
-        let client = if self.replica.is_some() {
-            // The request table lives on the client's replica; the token
-            // carries everything reply routing needs.
-            token.client
-        } else {
-            let Some(state) = self.requests.get(token.req.0) else {
-                return;
-            };
-            state.client
+        let Some(state) = self.requests.get(token.req.0) else {
+            return;
         };
-        let client_host = self.clients[client as usize].host;
+        let client_host = self.clients[state.client as usize].host;
         let server_host = self.server_hosts[token.server.0 as usize];
         let hash = flow_hash(token.req, 23);
         let Some(latency) = self.fabric.try_host_to_host(server_host, client_host, hash) else {
@@ -1082,7 +788,7 @@ impl<D: DeviceProbe> Core<D> {
         let service = token.served_at - token.service_started_at;
         let reply = now - token.served_at;
         let hops = self.fabric.take_copy_hops(token.req.0, token.server.0);
-        if self.tracer.is_some() || self.trace_buf.is_some() {
+        if let Some(w) = self.tracer.as_mut() {
             use std::io::Write as _;
             let rec = TraceRecord {
                 req: token.req.0,
@@ -1102,13 +808,7 @@ impl<D: DeviceProbe> Core<D> {
                 hops,
             };
             let line = serde_json::to_string(&rec).expect("trace record serializes");
-            if let Some(buf) = self.trace_buf.as_mut() {
-                // Parallel runs buffer; the runner merges per-replica
-                // buffers in canonical (receive time, shard) order.
-                buf.push((now.as_nanos(), line));
-            } else if let Some(w) = self.tracer.as_mut() {
-                let _ = writeln!(w, "{line}");
-            }
+            let _ = writeln!(w, "{line}");
         }
         if first_completion && !is_write && issue_idx >= self.warmup_cutoff {
             self.breakdown.network.record(steer + to_server + reply);
@@ -1327,8 +1027,7 @@ impl<D: DeviceProbe> Core<D> {
     /// Whether all issued requests have completed and no more will be
     /// issued.
     pub(crate) fn drained(&self) -> bool {
-        let quota = self.replica.as_ref().map_or(self.cfg.requests, |r| r.quota);
-        self.issued >= quota && self.requests.is_empty()
+        self.issued >= self.cfg.requests && self.requests.is_empty()
     }
 
     /// One sampler tick. `accel_busy_core_ns` and `n_accels` come from
@@ -1413,9 +1112,6 @@ impl<D: DeviceProbe> Core<D> {
             events,
             availability: self.availability(),
             rw,
-            // The runner attaches the window accounting for multi-shard
-            // runs; single-shard stats stay byte-identical without it.
-            parallel: None,
         }
     }
 }

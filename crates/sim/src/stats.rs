@@ -53,43 +53,6 @@ pub struct RwStats {
     pub cache_invalidations: u64,
 }
 
-/// Sharded/parallel execution outcome: the conservative-window driver's
-/// schedule-level accounting. Present only on multi-shard runs and
-/// omitted — not `null` — otherwise, so single-shard stats files stay
-/// byte-identical to the sequential engine's.
-///
-/// Deliberately **schedule-deterministic**: it never records the thread
-/// count or any wall-clock quantity, so the same run at `--threads 1`
-/// and `--threads N` serializes byte-identically (the acceptance
-/// invariant). Wall-clock facts (speedup, busy-time imbalance) belong in
-/// the heartbeat and the perf artifact instead.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default, Serialize, Deserialize)]
-pub struct ParallelStats {
-    /// Event shards the run was partitioned into.
-    pub shards: u32,
-    /// Conservative windows the driver advanced through (0 when the
-    /// driver does not count windows).
-    pub windows: u64,
-    /// Cross-shard events posted through the mailbox/merge.
-    pub mailbox_posted: u64,
-    /// Cross-shard events that arrived past the destination clock and
-    /// were clamped (lookahead-contract violations; always 0 at the
-    /// default 1× lookahead).
-    pub mailbox_late: u64,
-}
-
-impl ParallelStats {
-    /// Mean in-window events per barrier round.
-    #[must_use]
-    pub fn events_per_window(&self, events: u64) -> f64 {
-        if self.windows == 0 {
-            0.0
-        } else {
-            events as f64 / self.windows as f64
-        }
-    }
-}
-
 /// The results of one simulation run.
 ///
 /// Serialization is hand-written (not derived) so the optional
@@ -145,9 +108,6 @@ pub struct RunStats {
     /// the run enabled a hot-key cache or a non-default consistency
     /// mode.
     pub rw: Option<RwStats>,
-    /// Sharded/parallel window accounting; `None` (and absent from the
-    /// JSON) for single-shard runs.
-    pub parallel: Option<ParallelStats>,
 }
 
 impl Serialize for RunStats {
@@ -187,9 +147,6 @@ impl Serialize for RunStats {
         }
         if let Some(rw) = &self.rw {
             o.push(("rw".into(), rw.ser()));
-        }
-        if let Some(p) = &self.parallel {
-            o.push(("parallel".into(), p.ser()));
         }
         Value::Obj(o)
     }
@@ -234,11 +191,6 @@ impl Deserialize for RunStats {
             // Absent unless the run enabled the read/write extension.
             rw: match v.get("rw") {
                 Some(r) => Some(RwStats::deser(r)?),
-                None => None,
-            },
-            // Absent for single-shard runs (and in older files).
-            parallel: match v.get("parallel") {
-                Some(p) => Some(ParallelStats::deser(p)?),
                 None => None,
             },
         })
@@ -316,7 +268,6 @@ mod tests {
             events: 0,
             availability: None,
             rw: None,
-            parallel: None,
         }
     }
 

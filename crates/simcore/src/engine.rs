@@ -216,28 +216,6 @@ impl<E> EventQueue<E> {
     pub fn peek_time(&self) -> Option<SimTime> {
         self.heap.peek().map(|e| e.at)
     }
-
-    /// Moves the clock to `now` without processing events.
-    ///
-    /// Intended for reusing a drained queue as a scratch *outbox* (see
-    /// [`ShardedEngine`](crate::ShardedEngine)): handlers schedule
-    /// relative times against the event being processed, so the scratch
-    /// queue's clock must first be moved to that event's timestamp.
-    /// Shards process events out of global time order, so the clock may
-    /// legitimately move backwards here — which is only sound while
-    /// nothing is pending, hence the emptiness requirement.
-    ///
-    /// # Panics
-    ///
-    /// Panics if any events are pending.
-    pub fn reset_clock(&mut self, now: SimTime) {
-        assert!(
-            self.is_empty(),
-            "reset_clock would reorder {} pending events",
-            self.len()
-        );
-        self.now = now;
-    }
 }
 
 /// Drives a [`World`] through its event queue.
@@ -568,27 +546,6 @@ mod tests {
             q.high_water()
         );
         assert_eq!(q.free.len(), q.slab.len(), "all slots free after drain");
-    }
-
-    #[test]
-    fn reset_clock_moves_empty_queue_clock_both_ways() {
-        let mut q: EventQueue<u32> = EventQueue::new();
-        q.schedule_at(SimTime::from_nanos(50), 1);
-        let _ = q.pop();
-        assert_eq!(q.now(), SimTime::from_nanos(50));
-        q.reset_clock(SimTime::from_nanos(10));
-        assert_eq!(q.now(), SimTime::from_nanos(10));
-        // schedule_after is now relative to the reset clock.
-        q.schedule_after(SimDuration::from_nanos(5), 2);
-        assert_eq!(q.peek_time(), Some(SimTime::from_nanos(15)));
-    }
-
-    #[test]
-    #[should_panic(expected = "pending events")]
-    fn reset_clock_rejects_pending_events() {
-        let mut q: EventQueue<u32> = EventQueue::new();
-        q.schedule_at(SimTime::from_nanos(50), 1);
-        q.reset_clock(SimTime::from_nanos(10));
     }
 
     #[test]

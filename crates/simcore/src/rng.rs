@@ -65,42 +65,6 @@ impl SimRng {
         SimRng::from_seed(child)
     }
 
-    /// Derives the `shard`-th of `shards` deterministic per-shard
-    /// sub-streams of this stream.
-    ///
-    /// Like [`SimRng::fork`], the split is a pure function of the
-    /// stream's *seed* — it neither consumes randomness from `self` nor
-    /// depends on how many draws `self` has already made, so the shard
-    /// streams are stable across runs and across shard-creation order.
-    /// Two properties matter to the sharded engine
-    /// (`netrs_simcore::ShardedEngine`):
-    ///
-    /// 1. **Identity at `shards == 1`**: `split(0, 1)` returns the
-    ///    stream's pristine state (`SimRng::from_seed(seed)`), so a
-    ///    single-shard world draws *exactly* the sequence the unsharded
-    ///    world draws and the engine's byte-identity guarantee extends
-    ///    through the RNG layer.
-    /// 2. **Disjointness at `shards > 1`**: each `(shard, shards)` pair
-    ///    maps to a distinct splitmix64-whitened stream id, so one
-    ///    shard's draws carry no correlation with another's (tested over
-    ///    the first 10k draws in `shard_split_streams_are_disjoint`).
-    ///
-    /// # Panics
-    ///
-    /// Panics if `shards == 0` or `shard >= shards`.
-    #[must_use]
-    pub fn split(&self, shard: u32, shards: u32) -> SimRng {
-        assert!(shards > 0, "cannot split into zero shards");
-        assert!(shard < shards, "shard {shard} out of range 0..{shards}");
-        if shards == 1 {
-            return SimRng::from_seed(self.seed);
-        }
-        // A dedicated tag keeps the shard-id space disjoint from the
-        // small integers callers typically pass to `fork`.
-        let id = 0x5AD5_0000_0000_0000u64 | (u64::from(shards) << 32) | u64::from(shard);
-        self.fork(id)
-    }
-
     /// Next raw 64 uniform bits.
     pub fn next_u64(&mut self) -> u64 {
         self.inner.next_u64()
@@ -395,92 +359,6 @@ mod tests {
         assert_eq!(x1, x2, "same stream id must replay identically");
         let mut b2 = root.fork(2);
         assert_ne!(x1, b2.next_u64(), "distinct streams must differ");
-    }
-
-    #[test]
-    fn shard_split_is_identity_for_one_shard() {
-        // The single-shard split must replay the root stream's pristine
-        // sequence even if the root has already consumed draws — the
-        // sharded engine splits from seeds, not live streams.
-        let mut consumed = SimRng::from_seed(99).fork(2);
-        let _ = consumed.next_u64();
-        let mut split = consumed.split(0, 1);
-        let mut fresh = SimRng::from_seed(99).fork(2);
-        for _ in 0..100 {
-            assert_eq!(split.next_u64(), fresh.next_u64());
-        }
-    }
-
-    #[test]
-    fn shard_split_streams_are_stable_across_runs() {
-        let root = SimRng::from_seed(4242).fork(2);
-        for shard in 0..4 {
-            let a: Vec<u64> = {
-                let mut s = root.split(shard, 4);
-                (0..100).map(|_| s.next_u64()).collect()
-            };
-            let b: Vec<u64> = {
-                let mut s = SimRng::from_seed(4242).fork(2).split(shard, 4);
-                (0..100).map(|_| s.next_u64()).collect()
-            };
-            assert_eq!(a, b, "shard {shard} stream must be stable");
-        }
-    }
-
-    #[test]
-    fn shard_split_streams_are_disjoint() {
-        // Two checks over the first 10k draws of every shard stream:
-        // (1) no raw u64 appears in two streams (collision probability
-        // ~= (4*10^4)^2 / 2^64 ~ 1e-10 for independent streams), and
-        // (2) the lag-0 cross-correlation of the uniform deviates is
-        // statistically indistinguishable from zero (|r| < 4/sqrt(n)).
-        const N: usize = 10_000;
-        let root = SimRng::from_seed(7).fork(2);
-        let streams: Vec<Vec<u64>> = (0..4)
-            .map(|shard| {
-                let mut s = root.split(shard, 4);
-                (0..N).map(|_| s.next_u64()).collect()
-            })
-            .collect();
-        let mut seen = std::collections::HashSet::new();
-        for (i, stream) in streams.iter().enumerate() {
-            for &v in stream {
-                assert!(seen.insert(v), "value {v:#x} repeated across shard {i}");
-            }
-        }
-        let uniform = |v: u64| v as f64 / u64::MAX as f64 - 0.5;
-        for i in 0..streams.len() {
-            for j in (i + 1)..streams.len() {
-                let r: f64 = streams[i]
-                    .iter()
-                    .zip(&streams[j])
-                    .map(|(&a, &b)| uniform(a) * uniform(b))
-                    .sum::<f64>()
-                    / (N as f64 / 12.0);
-                assert!(
-                    r.abs() < 4.0 / (N as f64).sqrt(),
-                    "shards {i},{j} correlated: r = {r}"
-                );
-            }
-        }
-    }
-
-    #[test]
-    fn shard_split_differs_by_shard_count() {
-        let root = SimRng::from_seed(5);
-        let mut a = root.split(1, 2);
-        let mut b = root.split(1, 4);
-        assert_ne!(
-            a.next_u64(),
-            b.next_u64(),
-            "same shard index under different totals must not alias"
-        );
-    }
-
-    #[test]
-    #[should_panic(expected = "out of range")]
-    fn shard_split_rejects_out_of_range_shard() {
-        let _ = SimRng::from_seed(1).split(2, 2);
     }
 
     #[test]
