@@ -67,6 +67,14 @@ grep '"trigger":"initial"' "$SMOKE/scale-ctl-a.jsonl" > "$SMOKE/scale-boot.jsonl
 grep -q '"solve":{"greedy":true,' "$SMOKE/scale-boot.jsonl"
 grep -q '"objective":19}' "$SMOKE/scale-boot.jsonl"
 
+echo "==> paper-placement smoke (k=16 NetRS-ILP, greedy plan certified by the capacity floor)"
+# The paper's load needs at least 2 accelerators and the greedy opens 2,
+# so Auto returns the greedy plan as optimal without branch-and-bound.
+./target/debug/simulate --scheme netrs-ilp --requests 20000 --seed 3 \
+    --control "$SMOKE/paper-ctl.jsonl" --json > /dev/null
+grep '"trigger":"initial"' "$SMOKE/paper-ctl.jsonl" \
+    | grep -q '"lp_iterations":0,"branch_nodes":0,"objective":2}'
+
 echo "==> perf smoke (tiny perf suite, artifact validates)"
 # Runs the perf harness end to end at test scale and validates the
 # artifact's shape. Deliberately no time gating: CI boxes are too noisy

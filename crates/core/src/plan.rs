@@ -117,6 +117,10 @@ impl Default for PlanSolver {
 /// configuration — deliberately no wall-clock time, so audit records
 /// stay byte-identical across repeated runs of the same seed. Simplex
 /// iterations plus branch-and-bound nodes are the solve-cost proxy.
+///
+/// `greedy: false` with 0 iterations and 0 nodes marks an `Auto` solve
+/// whose greedy warm start already met the capacity floor: it was
+/// certified optimal without running branch-and-bound.
 #[derive(Debug, Clone, Copy, PartialEq, Default)]
 pub struct PlanSolveStats {
     /// Decision variables of the (last) solved ILP model; zero when the
@@ -134,6 +138,7 @@ pub struct PlanSolveStats {
     pub objective: f64,
     /// Whether the greedy heuristic produced the final assignment
     /// (pure-greedy solver, oversized Auto model, or budget fallback).
+    /// A warm start certified by the capacity floor counts as a solve.
     pub greedy: bool,
 }
 
@@ -674,6 +679,54 @@ impl<'a> PlacementProblem<'a> {
         self.solve_with_stats(solver).0
     }
 
+    /// A lower bound on the RSNodes of every plan for the groups not in
+    /// `drs`: the fewest candidate operators whose capacities together
+    /// reach the groups' summed load (less a `1e-6` relative tolerance,
+    /// which only lowers the bound). Shared accelerators and the hop
+    /// budget can only raise the optimum, so they are left out. `None`
+    /// when even every candidate together falls short of the load.
+    fn capacity_floor(&self, drs: &BTreeSet<GroupId>) -> Option<usize> {
+        let ix = self.index();
+        let mut load = 0.0;
+        let mut candidate = vec![false; ix.operators.len()];
+        for g in (0..self.groups.len()).filter(|&g| !drs.contains(&(g as GroupId))) {
+            load += ix.load[g];
+            for &(op, _) in &ix.candidates[g] {
+                candidate[op] = true;
+            }
+        }
+        let mut caps: Vec<f64> = (ix.operators.iter().zip(candidate))
+            .filter_map(|(op, c)| c.then_some(op.capacity))
+            .collect();
+        caps.sort_by(|a, b| b.total_cmp(a));
+        let need = load - 1e-6 * load.max(1.0);
+        // Position k of the running sums is what the k largest carry.
+        std::iter::once(0.0)
+            .chain(caps.into_iter().scan(0.0, |sum, cap| {
+                *sum += cap;
+                Some(*sum)
+            }))
+            .position(|carried| carried >= need)
+    }
+
+    /// The plan a 0/1 point of the model encodes: each group goes to the
+    /// operator whose `P` variable is set; `drs` groups degrade.
+    fn plan_from(
+        values: &[f64],
+        pvars: &AssignmentVars,
+        drs: BTreeSet<GroupId>,
+        proven_optimal: bool,
+    ) -> Rsp {
+        Rsp {
+            assignment: (pvars.iter())
+                .filter(|&&(_, _, v)| values[v] > 0.5)
+                .map(|&(g, sw, _)| (g, sw))
+                .collect(),
+            drs,
+            proven_optimal,
+        }
+    }
+
     /// A greedy plan plus the solve stats it deterministically implies.
     fn greedy_with_stats(&self, mut stats: PlanSolveStats) -> (Rsp, PlanSolveStats) {
         let rsp = self.solve_greedy();
@@ -729,22 +782,28 @@ impl<'a> PlacementProblem<'a> {
                 node_limit,
                 ..BranchAndBound::default()
             };
+            // A warm start that already meets the capacity floor is
+            // optimal: branch-and-bound replaces a feasible incumbent only
+            // with a strictly better integer point, and none exists below
+            // a valid floor, so it would return this very point.
+            if let Some(x) = &warm_vec {
+                let objective = problem.objective_value(x);
+                let certified = problem.is_feasible(x, bnb.int_tol)
+                    && self
+                        .capacity_floor(&drs)
+                        .is_some_and(|floor| objective <= floor as f64);
+                if certified {
+                    stats.objective = objective;
+                    return (Self::plan_from(x, &pvars, drs, true), stats);
+                }
+            }
             match bnb.solve_from(&problem, warm_vec.as_deref()) {
                 Ok(sol) => {
                     stats.lp_iterations += sol.lp_iterations;
                     stats.branch_nodes += sol.nodes;
                     stats.objective = sol.objective;
-                    let mut rsp = Rsp {
-                        drs,
-                        proven_optimal: sol.status == netrs_ilp::IlpStatus::Optimal,
-                        ..Rsp::default()
-                    };
-                    for &(g, sw, v) in &pvars {
-                        if sol.values[v] > 0.5 {
-                            rsp.assignment.insert(g, sw);
-                        }
-                    }
-                    return (rsp, stats);
+                    let optimal = sol.status == netrs_ilp::IlpStatus::Optimal;
+                    return (Self::plan_from(&sol.values, &pvars, drs, optimal), stats);
                 }
                 Err(IlpError::BudgetExhausted) => {
                     // Only possible without a warm start (Exact mode with
@@ -1022,11 +1081,70 @@ mod tests {
         assert_eq!(stats.lp_iterations, 0);
         assert_eq!(stats.branch_nodes, 0);
         assert!((stats.objective - rsp.rsnodes().len() as f64).abs() < 1e-9);
-        // Auto on a small model runs the ILP and reports its effort.
-        let (auto_rsp, auto_stats) = p.solve_with_stats(PlanSolver::Auto { node_limit: 5_000 });
+
+        // One core carries both groups, which meets the capacity floor of
+        // 1: Auto certifies the greedy plan without pivoting.
+        let auto = PlanSolver::Auto { node_limit: 5_000 };
+        assert_eq!(p.capacity_floor(&BTreeSet::new()), Some(1));
+        let (auto_rsp, auto_stats) = p.solve_with_stats(auto);
+        assert_eq!(
+            auto_stats,
+            PlanSolveStats {
+                lp_iterations: 0,
+                branch_nodes: 0,
+                objective: 1.0,
+                greedy: false,
+                ..auto_stats
+            }
+        );
+        assert_eq!(
+            auto_rsp,
+            Rsp {
+                proven_optimal: true,
+                ..rsp
+            }
+        );
+
+        // Only group 0 may use the big pod-0 aggregation switch, so the
+        // floor (1) stays below the greedy's 2 RSNodes: Auto runs the ILP
+        // and reports its effort.
+        let mut cons = PlanConstraints::default();
+        for sw in topo.switches() {
+            cons.capacity_overrides.insert(sw.0, 250.0);
+        }
+        cons.capacity_overrides.insert(topo.agg(0, 0).0, 400.0);
+        let p = PlacementProblem::new(&topo, &groups, &traffic, &cons);
+        assert_eq!(p.capacity_floor(&BTreeSet::new()), Some(1));
+        assert_eq!(p.solve_greedy().rsnodes().len(), 2);
+        let (auto_rsp, auto_stats) = p.solve_with_stats(auto);
         assert!(!auto_stats.greedy);
-        assert!(auto_stats.lp_iterations > 0);
+        assert!(auto_stats.lp_iterations > 0 && auto_stats.branch_nodes > 0);
         assert!((auto_stats.objective - auto_rsp.rsnodes().len() as f64).abs() < 1e-6);
+    }
+
+    #[test]
+    fn capacity_floor_counts_a_load_of_exactly_two_capacities_as_two() {
+        // Two groups of 200 tasks/s each on operators of exactly 200.
+        let (topo, groups, traffic) = setup(&[0, 4], 100.0);
+        let mut cons = PlanConstraints::default();
+        for sw in topo.switches() {
+            cons.capacity_overrides.insert(sw.0, 200.0);
+        }
+        let p = PlacementProblem::new(&topo, &groups, &traffic, &cons);
+        assert_eq!(p.capacity_floor(&BTreeSet::new()), Some(2));
+        assert_eq!(p.capacity_floor(&BTreeSet::from([1])), Some(1));
+        assert_eq!(p.capacity_floor(&BTreeSet::from([0, 1])), Some(0));
+        let (rsp, stats) = p.solve_with_stats(PlanSolver::default());
+        assert!(rsp.proven_optimal && rsp.drs.is_empty());
+        assert_eq!((stats.lp_iterations, stats.objective), (0, 2.0));
+
+        // Ten candidates of 1 task/s each cannot carry 400 tasks/s: no
+        // floor.
+        for cap in cons.capacity_overrides.values_mut() {
+            *cap = 1.0;
+        }
+        let p = PlacementProblem::new(&topo, &groups, &traffic, &cons);
+        assert_eq!(p.capacity_floor(&BTreeSet::new()), None);
     }
 
     #[test]

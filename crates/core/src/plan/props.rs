@@ -272,3 +272,51 @@ proptest! {
         }
     }
 }
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(64))]
+
+    /// The capacity floor never exceeds a plan's RSNode count, and
+    /// certifying the greedy plan changes no plan: Auto returns what its
+    /// warm-started branch-and-bound returns without the certificate.
+    #[test]
+    fn capacity_floor_is_a_valid_bound_and_certifying_changes_no_plan(
+        seed in any::<u64>(),
+        arity in prop_oneof![Just(4u32), Just(8u32)],
+        degenerate in 0usize..10,
+    ) {
+        let inst = Instance::draw(seed, arity, 8, Degenerate::ALL.get(degenerate).copied());
+        let p = inst.problem();
+        let exact = p.solve(PlanSolver::Exact { node_limit: 200 });
+        if exact.proven_optimal {
+            let floor = p.capacity_floor(&exact.drs);
+            prop_assert!(
+                floor.is_some_and(|f| f <= exact.rsnodes().len()),
+                "floor {:?} above the optimum {:?}", floor, exact
+            );
+        }
+
+        // The uncertified Auto path: one warm-started solve over the
+        // greedy's DRS set.
+        let greedy = p.solve_greedy();
+        let drs: BTreeSet<GroupId> = p.stranded().chain(greedy.drs.iter().copied()).collect();
+        let (problem, pvars, dvars) = p.to_ilp(&drs);
+        let mut warm = vec![0.0; problem.num_vars()];
+        for &(g, sw, v) in &pvars {
+            if greedy.assignment.get(&g) == Some(&sw) {
+                warm[v] = 1.0;
+                warm[dvars[&sw]] = 1.0;
+            }
+        }
+        let bnb = BranchAndBound { node_limit: 200, ..BranchAndBound::default() };
+        // A failed solve leads into the DRS retries; only a first solve
+        // that succeeds is compared.
+        if let Ok(sol) = bnb.solve_from(&problem, Some(&warm)) {
+            let (auto, stats) = p.solve_with_stats(PlanSolver::Auto { node_limit: 200 });
+            let uncertified = PlacementProblem::plan_from(&sol.values, &pvars, drs, false);
+            prop_assert_eq!(&auto.assignment, &uncertified.assignment);
+            prop_assert_eq!(&auto.drs, &uncertified.drs);
+            prop_assert_eq!(stats.objective, sol.objective);
+        }
+    }
+}
