@@ -67,6 +67,18 @@ grep '"trigger":"initial"' "$SMOKE/scale-ctl-a.jsonl" > "$SMOKE/scale-boot.jsonl
 grep -q '"solve":{"greedy":true,' "$SMOKE/scale-boot.jsonl"
 grep -q '"objective":19}' "$SMOKE/scale-boot.jsonl"
 
+echo "==> per-client memory smoke (k=32 CliRS, 5 000 clients x 1 000 servers)"
+# Per-client state must scale with what each client touches: a full
+# latency histogram or a dense C3 table per client put this run near
+# 300 MB; compact C3 estimates keep it around 20 MB.
+./target/debug/simulate --config tests/fixtures/scale-ilp-smoke.json --scheme clirs \
+    --perf "$SMOKE/scale-clirs-perf.json" --json > /dev/null
+rss_kb=$(grep -o '"peak_rss_kb": [0-9]*' "$SMOKE/scale-clirs-perf.json" | tr -dc 0-9)
+if [ "$rss_kb" -ge 100000 ]; then
+    echo "k=32 CliRS peak RSS ${rss_kb} kB, want < 100000 kB"
+    exit 1
+fi
+
 echo "==> paper-placement smoke (k=16 NetRS-ILP, greedy plan certified by the capacity floor)"
 # The paper's load needs at least 2 accelerators and the greedy opens 2,
 # so Auto returns the greedy plan as optimal without branch-and-bound.

@@ -64,15 +64,24 @@ struct ServerEstimate {
 /// it. Large enough to outrank any healthy replica under normal load.
 const TIMEOUT_PENALTY_BASE_NS: f64 = 100.0e6;
 
-/// The C3 selector state held by one RSNode.
+/// Marks a server in [`C3Selector::slots`] that has no estimate yet.
+const UNSEEN: u32 = u32::MAX;
+
+/// The C3 selector state held by one RSNode (or, under CliRS, one
+/// client).
 #[derive(Debug)]
 pub struct C3Selector {
     cfg: C3Config,
-    /// Per-server estimates indexed by `ServerId.0` (server ids are
-    /// dense). A missing slot means "never heard from", which is exactly
-    /// the all-zero [`ServerEstimate`] — so reads fall back to the
-    /// default and writes grow the table on demand.
-    servers: Vec<ServerEstimate>,
+    /// Index into `estimates` of each server's estimate, indexed by
+    /// `ServerId.0` (server ids are dense) and grown on demand. A missing
+    /// or [`UNSEEN`] slot means "never heard from", which is exactly the
+    /// all-zero [`ServerEstimate`] — so reads fall back to the default
+    /// and only writes allocate an estimate.
+    slots: Vec<u32>,
+    /// Estimates of the servers this selector has touched, in first-touch
+    /// order. A client touches only the servers it sent to, a small share
+    /// of the cluster.
+    estimates: Vec<ServerEstimate>,
     rng: SimRng,
 }
 
@@ -90,7 +99,8 @@ impl C3Selector {
         assert!(cfg.concurrency >= 1.0, "concurrency must be >= 1");
         C3Selector {
             cfg,
-            servers: Vec::new(),
+            slots: Vec::new(),
+            estimates: Vec::new(),
             rng,
         }
     }
@@ -113,18 +123,23 @@ impl C3Selector {
     }
 
     fn est(&self, server: ServerId) -> ServerEstimate {
-        self.servers
-            .get(server.0 as usize)
-            .copied()
-            .unwrap_or_default()
+        match self.slots.get(server.0 as usize) {
+            Some(&slot) if slot != UNSEEN => self.estimates[slot as usize],
+            _ => ServerEstimate::default(),
+        }
     }
 
     fn est_mut(&mut self, server: ServerId) -> &mut ServerEstimate {
         let i = server.0 as usize;
-        if i >= self.servers.len() {
-            self.servers.resize_with(i + 1, ServerEstimate::default);
+        if i >= self.slots.len() {
+            self.slots.resize(i + 1, UNSEEN);
         }
-        &mut self.servers[i]
+        if self.slots[i] == UNSEEN {
+            self.slots[i] =
+                u32::try_from(self.estimates.len()).expect("fewer estimates than u32 server ids");
+            self.estimates.push(ServerEstimate::default());
+        }
+        &mut self.estimates[self.slots[i] as usize]
     }
 
     /// The Ψ score of one server (lower is better). Servers never heard
@@ -242,6 +257,7 @@ impl ReplicaSelector for C3Selector {
 mod tests {
     use super::*;
     use netrs_simcore::SimDuration;
+    use proptest::prelude::*;
 
     fn fb(server: u32, queue: u32, service_ms: u64, latency_ms: u64) -> Feedback {
         Feedback {
@@ -410,6 +426,196 @@ mod tests {
         // A successful response clears it entirely.
         s.on_response(&fb(0, 1, 4, 8), t);
         assert!(s.score(ServerId(0)) < TIMEOUT_PENALTY_BASE_NS);
+    }
+
+    #[test]
+    fn holds_one_estimate_per_touched_server() {
+        let mut s = c3();
+        let t = SimTime::ZERO;
+        // Scattered ids, each touched several times and by every kind of
+        // write; reads of unseen servers allocate nothing.
+        let touched = [1_999, 3, 700, 42, 1_000];
+        for (k, &id) in touched.iter().enumerate() {
+            for _ in 0..3 {
+                s.on_send(ServerId(id), t);
+                s.on_response(&fb(id, 1, 4, 8), t);
+                s.on_timeout(ServerId(id), t);
+            }
+            let _ = s.score(ServerId(id + 1));
+            let _ = s.select(&[ServerId(5), ServerId(id)], t);
+            assert_eq!(s.estimates.len(), k + 1);
+        }
+        assert_eq!(s.slots.len(), 2_000);
+    }
+
+    /// The selector as it was before estimates were stored compactly: one
+    /// dense estimate per server id up to the largest touched. The
+    /// reference the compact selector must match bit for bit.
+    struct DenseC3 {
+        cfg: C3Config,
+        servers: Vec<ServerEstimate>,
+        rng: SimRng,
+    }
+
+    impl DenseC3 {
+        fn est(&self, server: ServerId) -> ServerEstimate {
+            self.servers
+                .get(server.0 as usize)
+                .copied()
+                .unwrap_or_default()
+        }
+
+        fn est_mut(&mut self, server: ServerId) -> &mut ServerEstimate {
+            let i = server.0 as usize;
+            if i >= self.servers.len() {
+                self.servers.resize_with(i + 1, ServerEstimate::default);
+            }
+            &mut self.servers[i]
+        }
+
+        fn score(&self, server: ServerId) -> f64 {
+            let est = self.est(server);
+            let q_hat = 1.0 + f64::from(est.outstanding) * self.cfg.concurrency + est.ewma_queue;
+            est.ewma_latency_ns - est.ewma_service_ns
+                + q_hat.powf(self.cfg.exponent) * est.ewma_service_ns
+                + est.timeout_penalty_ns
+        }
+
+        fn rank(&mut self, candidates: &[ServerId]) -> Vec<ServerId> {
+            let mut scored: Vec<(f64, u64, ServerId)> = candidates
+                .iter()
+                .map(|&s| (self.score(s), self.rng.next_u64(), s))
+                .collect();
+            scored.sort_by(|a, b| {
+                a.0.partial_cmp(&b.0)
+                    .unwrap_or(std::cmp::Ordering::Equal)
+                    .then(a.1.cmp(&b.1))
+            });
+            scored.into_iter().map(|(_, _, s)| s).collect()
+        }
+
+        fn on_response(&mut self, fb: &Feedback) {
+            let alpha = self.cfg.alpha;
+            let est = self.est_mut(fb.server);
+            let first = est.responses == 0;
+            est.ewma_latency_ns = ewma(
+                est.ewma_latency_ns,
+                fb.latency.as_nanos() as f64,
+                alpha,
+                first,
+            );
+            est.ewma_service_ns = ewma(
+                est.ewma_service_ns,
+                fb.service_time.as_nanos() as f64,
+                alpha,
+                first,
+            );
+            est.ewma_queue = ewma(est.ewma_queue, f64::from(fb.queue_len), alpha, first);
+            est.outstanding = est.outstanding.saturating_sub(1);
+            est.responses += 1;
+            est.timeout_penalty_ns = 0.0;
+        }
+
+        fn on_timeout(&mut self, server: ServerId) {
+            let est = self.est_mut(server);
+            est.timeout_penalty_ns = (est.timeout_penalty_ns * 2.0).max(TIMEOUT_PENALTY_BASE_NS);
+        }
+    }
+
+    #[derive(Debug, Clone)]
+    enum Op {
+        Send(usize),
+        Response(usize, u32, u64, u64),
+        Timeout(usize),
+        Concurrency(f64),
+        Select(Vec<usize>),
+        Rank(Vec<usize>),
+        Score(usize),
+    }
+
+    fn arb_op() -> impl Strategy<Value = Op> {
+        let idx = || any::<usize>();
+        let cands = || proptest::collection::vec(any::<usize>(), 1..6);
+        prop_oneof![
+            idx().prop_map(Op::Send),
+            (idx(), 0u32..50, 1u64..20_000, 1u64..200_000)
+                .prop_map(|(i, q, svc, lat)| Op::Response(i, q, svc, lat)),
+            idx().prop_map(Op::Timeout),
+            (1.0f64..600.0).prop_map(Op::Concurrency),
+            cands().prop_map(Op::Select),
+            cands().prop_map(Op::Rank),
+            idx().prop_map(Op::Score),
+        ]
+    }
+
+    proptest! {
+        /// Random operation sequences over server ids 0..2 000, touched in
+        /// any order: every score, pick and ranking of the compact
+        /// selector equals the dense reference's, so the RNG streams stay
+        /// in step too.
+        #[test]
+        fn compact_estimates_match_the_dense_reference(
+            seed in any::<u64>(),
+            pool in proptest::collection::vec(0u32..2_000, 1..12),
+            ops in proptest::collection::vec(arb_op(), 1..200),
+        ) {
+            let cfg = C3Config::default();
+            let mut compact = C3Selector::new(cfg, SimRng::from_seed(seed));
+            let mut dense = DenseC3 {
+                cfg,
+                servers: Vec::new(),
+                rng: SimRng::from_seed(seed),
+            };
+            let t = SimTime::ZERO;
+            let id = |i: usize| ServerId(pool[i % pool.len()]);
+            for op in ops {
+                match op {
+                    Op::Send(i) => {
+                        compact.on_send(id(i), t);
+                        dense.est_mut(id(i)).outstanding += 1;
+                    }
+                    Op::Response(i, q, svc, lat) => {
+                        let f = Feedback {
+                            server: id(i),
+                            queue_len: q,
+                            service_time: SimDuration::from_micros(svc),
+                            latency: SimDuration::from_micros(lat),
+                        };
+                        compact.on_response(&f, t);
+                        dense.on_response(&f);
+                    }
+                    Op::Timeout(i) => {
+                        compact.on_timeout(id(i), t);
+                        dense.on_timeout(id(i));
+                    }
+                    Op::Concurrency(n) => {
+                        compact.set_concurrency(n);
+                        dense.cfg.concurrency = n;
+                    }
+                    Op::Select(c) => {
+                        let c: Vec<ServerId> = c.into_iter().map(id).collect();
+                        prop_assert_eq!(compact.select(&c, t), dense.rank(&c)[0]);
+                    }
+                    Op::Rank(c) => {
+                        let c: Vec<ServerId> = c.into_iter().map(id).collect();
+                        prop_assert_eq!(compact.rank(&c, t), dense.rank(&c));
+                    }
+                    Op::Score(i) => {
+                        prop_assert_eq!(compact.score(id(i)).to_bits(), dense.score(id(i)).to_bits());
+                    }
+                }
+                for &s in &pool {
+                    let s = ServerId(s);
+                    prop_assert_eq!(compact.score(s).to_bits(), dense.score(s).to_bits());
+                    prop_assert_eq!(compact.outstanding(s), dense.est(s).outstanding);
+                    prop_assert_eq!(compact.responses_seen(s), dense.est(s).responses);
+                }
+            }
+            let mut distinct = pool.clone();
+            distinct.sort_unstable();
+            distinct.dedup();
+            prop_assert!(compact.estimates.len() <= distinct.len());
+        }
     }
 
     #[test]

@@ -10,7 +10,7 @@
 use netrs_kvstore::ServerId;
 use netrs_selection::{CubicRateController, Feedback, ReplicaSelector};
 use netrs_simcore::{
-    DeviceCounter, DeviceId, DeviceProbe, EventQueue, SimDuration, SimRng, SimTime,
+    DeviceCounter, DeviceId, DeviceProbe, EventQueue, Histogram, SimDuration, SimRng, SimTime,
 };
 
 use crate::cluster::{Ev, ReqId};
@@ -222,12 +222,17 @@ impl<D: DeviceProbe> SchemePolicy<D> for CliRsPolicy {
 /// client's observed 95th-percentile latency.
 pub(crate) struct CliRsR95Policy {
     inner: CliRsPolicy,
+    /// Each client's own completed-read latencies, the source of its
+    /// duplicate deadline. Only this scheme reads them, so only it pays
+    /// for one full histogram per client.
+    hists: Vec<Histogram>,
 }
 
 impl CliRsR95Policy {
     pub(crate) fn new<D: DeviceProbe>(core: &Core<D>, root: &SimRng) -> Self {
         CliRsR95Policy {
             inner: CliRsPolicy::new(core, root),
+            hists: (0..core.cfg.clients).map(|_| Histogram::new()).collect(),
         }
     }
 }
@@ -245,9 +250,9 @@ impl<D: DeviceProbe> SchemePolicy<D> for CliRsR95Policy {
         // Arm the duplicate timer once the client has a usable quantile
         // estimate.
         let state = core.requests.get(req.0).expect("request still in flight");
-        let client = &core.clients[state.client as usize];
-        if client.hist.count() >= core.cfg.r95.min_samples {
-            let deadline = client.hist.value_at_quantile(core.cfg.r95.quantile);
+        let hist = &self.hists[state.client as usize];
+        if hist.count() >= core.cfg.r95.min_samples {
+            let deadline = hist.value_at_quantile(core.cfg.r95.quantile);
             queue.schedule_after(deadline, Ev::R95Check { req });
         }
     }
@@ -290,6 +295,11 @@ impl<D: DeviceProbe> SchemePolicy<D> for CliRsR95Policy {
     }
 
     fn on_reply(&mut self, _core: &mut Core<D>, now: SimTime, info: &ReplyInfo) {
+        // Every client copy carries the request's issue time, so this is
+        // the request's end-to-end latency.
+        if info.first_completion {
+            self.hists[info.client as usize].record(now - info.token.issued_at);
+        }
         self.inner.feed_back(now, info);
     }
 

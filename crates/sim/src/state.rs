@@ -59,9 +59,6 @@ pub(crate) struct RequestState {
 /// are per-scheme and live in the policy.
 pub(crate) struct ClientState {
     pub(crate) host: HostId,
-    /// The client's own completed-request latencies (feeds the CliRS-R95
-    /// duplicate deadline; recorded for every scheme).
-    pub(crate) hist: Histogram,
     /// Per-client stream for backup-replica picks.
     pub(crate) rng: SimRng,
 }
@@ -286,7 +283,6 @@ impl<D: DeviceProbe> Core<D> {
             .enumerate()
             .map(|(i, &host)| ClientState {
                 host,
-                hist: Histogram::new(),
                 rng: root.fork(40_000 + i as u64),
             })
             .collect();
@@ -828,7 +824,6 @@ impl<D: DeviceProbe> Core<D> {
         }
 
         if first_completion {
-            self.clients[client_idx].hist.record(latency);
             if issue_idx >= self.warmup_cutoff {
                 self.hist.record(latency);
             }
